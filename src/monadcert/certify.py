@@ -3,7 +3,14 @@
 Stability follows the twisted-exterior-power route: h^0 of Lambda^q T twisted
 by B injects into h^0 of the twisted exterior power of the middle term, which
 is a sum of line bundles, so exact vanishing over a constrained twist family
-reduces to a sign condition on subset-sums of middle degrees.  Simplicity
+reduces to a sign condition on subset-sums of middle degrees: q fails iff
+some q-subset has every constrained sum (the total, or one per group) >= 1.
+One reachability DP over (subset size, constrained sums of the subset)
+decides every q at once.  It drops a state as soon as some sum cannot reach
+1 even with every remaining positive contribution taken in full, which is
+the most the remaining summands can add, so the pruning is exact.  Only a
+failing q lists its subset sums, via cohomology.exterior_power, to report
+the lexicographically first violated one as the witness.  Simplicity
 chases dimensions through the dual kernel sequence.  Certificates only ever
 claim what was actually checked; any gap degrades the verdict, never the
 other way around.
@@ -13,12 +20,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import LineBundleSum, h_sum
+from .cohomology import LineBundleSum, exterior_power, h_sum
 from .monad import MonadSpec, display_summary
 from .space import (
     MultiDegree,
@@ -43,38 +49,25 @@ class TwistMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SubsetProfile:
-    """Aggregate of all q-subsets of middle summands sharing one degree sum."""
+class QResult:
+    """Verdict for one exterior power q, with the witness when it fails."""
 
-    t_s: MultiDegree
-    count: int
-
-
-@dataclass(frozen=True)
-class VanishingResult:
     q: int
     passed: bool
     witness_twist: MultiDegree | None
     witness_profile: MultiDegree | None
-    profiles: tuple[SubsetProfile, ...]
 
 
-def _subset_profiles(middle: LineBundleSum, q: int) -> tuple[SubsetProfile, ...]:
-    # DP over summand multiplicities: states keyed by (picked count, degree sum)
-    l = len(middle.summands[0][0])
-    states: dict[tuple[int, MultiDegree], int] = {(0, (0,) * l): 1}
-    for deg, mult in middle.summands:
-        nxt: dict[tuple[int, MultiDegree], int] = {}
-        for (c, t_s), ways in states.items():
-            for e in range(0, min(mult, q - c) + 1):
-                key = (c + e, tuple(t + e * d for t, d in zip(t_s, deg)))
-                nxt[key] = nxt.get(key, 0) + ways * math.comb(mult, e)
-        states = nxt
-    return tuple(
-        SubsetProfile(t_s, ways)
-        for (c, t_s), ways in sorted(states.items())
-        if c == q
-    )
+VanishingResult = QResult
+
+
+def _constrained_sums(
+    x: ProductSpace, d: Sequence[int], constraint: TwistMode
+) -> tuple[int, ...]:
+    # the sums of a multidegree that the twist family bounds
+    if constraint is TwistMode.TOTAL_NEGATIVE:
+        return (sum(d),)
+    return tuple(s for _, s in x.group_sums(d))
 
 
 def _profile_violated(
@@ -82,9 +75,59 @@ def _profile_violated(
 ) -> bool:
     # a twist B in the family with B + t_S >= 0 exists iff B = -t_S qualifies,
     # i.e. iff every constrained sum of t_S is strictly positive
-    if constraint is TwistMode.TOTAL_NEGATIVE:
-        return sum(t_s) >= 1
-    return all(s >= 1 for _, s in x.group_sums(t_s))
+    return min(_constrained_sums(x, t_s, constraint)) >= 1
+
+
+def _failing_counts(
+    x: ProductSpace, middle: LineBundleSum, q_max: int, constraint: TwistMode
+) -> set[int]:
+    """Every q in 1..q_max for which some q-subset of middle has a violated profile.
+
+    Reachability DP over (count, constrained-sum vector).  A state is dropped
+    as soon as one of its sums stays below 1 even if every later summand
+    with a positive entry there is taken in full; that headroom is the most
+    the rest can add, so no violating subset is ever dropped.  After the
+    last summand the headroom is zero, so every surviving state is one.
+    """
+    projected: dict[tuple[int, ...], int] = {}
+    for deg, mult in middle.summands:
+        p = _constrained_sums(x, deg, constraint)
+        projected[p] = projected.get(p, 0) + mult
+    items = sorted(projected.items())
+    width = len(items[0][0])
+    # headroom[i]: the largest amount summands i.. can add to each sum
+    headroom = [(0,) * width]
+    for p, mult in reversed(items):
+        headroom.append(tuple(h + mult * max(v, 0) for h, v in zip(headroom[-1], p)))
+    headroom.reverse()
+    states = {(0, (0,) * width)}
+    for (p, mult), room in zip(items, headroom[1:]):
+        nxt = set()
+        for c, sums in states:
+            for e in range(0, min(mult, q_max - c) + 1):
+                moved = tuple(s + e * v for s, v in zip(sums, p))
+                if all(s + r >= 1 for s, r in zip(moved, room)):
+                    nxt.add((c + e, moved))
+        states = nxt
+    return {c for c, _ in states}
+
+
+def _q_result(
+    x: ProductSpace,
+    middle: LineBundleSum,
+    q: int,
+    constraint: TwistMode,
+    failing: set[int],
+) -> QResult:
+    if q not in failing:
+        return QResult(q, True, None, None)
+    # exterior_power lists the subset sums t_S in sorted order, so the first
+    # violated one is the lexicographically first witness
+    t_s = next(
+        t for t, _ in exterior_power(middle, q).summands
+        if _profile_violated(x, t, constraint)
+    )
+    return QResult(q, False, vneg(t_s), t_s)
 
 
 def vanishing_all_twists(
@@ -93,32 +136,30 @@ def vanishing_all_twists(
     q: int,
     polarization: MultiDegree,
     constraint: TwistMode,
-) -> VanishingResult:
+) -> QResult:
     """Decide h^0(Lambda^q(middle)(B)) = 0 for every twist B in the family.
 
     The exterior power of a sum of line bundles splits into one line bundle
     per q-subset, with degree the subset-sum t_S; a global section exists for
     some admissible B iff B + t_S >= 0 componentwise for some subset.  The
-    componentwise-minimal candidate B = -t_S decides each profile exactly,
-    so the check is exhaustive over the (infinite) twist family.  On failure
-    the witness twist B = -t_S is returned with its profile.
+    componentwise-minimal candidate B = -t_S decides each subset exactly, so
+    the check is exhaustive over the (infinite) twist family: q fails iff
+    some q-subset has every constrained sum of t_S (the total, or one per
+    group) >= 1.
+
+    That is decided without listing the subset sums: each summand degree is
+    projected onto its constrained sums and one DP over (count, projected
+    sums) runs, dropping a state once some sum cannot reach 1 even if every
+    remaining positive contribution is taken in full.  On failure the
+    witness is the first violated t_S among exterior_power(middle, q)'s
+    sorted summands, returned with the twist B = -t_S.
     """
     x.check_degree(polarization)
     if not 1 <= q <= middle.rank - 1:
         raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
     for deg, _ in middle.summands:
         x.check_degree(deg)
-    profiles = _subset_profiles(middle, q)
-    for profile in profiles:
-        if _profile_violated(x, profile.t_s, constraint):
-            return VanishingResult(
-                q=q,
-                passed=False,
-                witness_twist=vneg(profile.t_s),
-                witness_profile=profile.t_s,
-                profiles=profiles,
-            )
-    return VanishingResult(q, True, None, None, profiles)
+    return _q_result(x, middle, q, constraint, _failing_counts(x, middle, q, constraint))
 
 
 def vanishing_by_enumeration(
@@ -159,14 +200,6 @@ def vanishing_by_enumeration(
 
 # ---------------------------------------------------------------------------
 # stability
-
-@dataclass(frozen=True)
-class QResult:
-    q: int
-    passed: bool
-    witness_twist: MultiDegree | None
-    witness_profile: MultiDegree | None
-
 
 @dataclass(frozen=True)
 class StabilityCertificate:
@@ -238,14 +271,13 @@ def stability_certificate(
     )
     if deg_t >= 0:
         return StabilityCertificate(per_q=(), verdict="unsupported", **base)
-    per_q = []
-    all_pass = True
-    for q in range(1, rank_t):
-        res = vanishing_all_twists(x, spec.term_m, q, polarization, constraint)
-        per_q.append(QResult(res.q, res.passed, res.witness_twist, res.witness_profile))
-        all_pass = all_pass and res.passed
+    # one DP decides every q; only failing q pay for a witness
+    failing = _failing_counts(x, spec.term_m, rank_t - 1, constraint)
+    per_q = tuple(
+        _q_result(x, spec.term_m, q, constraint, failing) for q in range(1, rank_t)
+    )
     return StabilityCertificate(
-        per_q=tuple(per_q), verdict="stable" if all_pass else "fails", **base
+        per_q=per_q, verdict="fails" if failing else "stable", **base
     )
 
 

@@ -153,6 +153,10 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
         terms = block["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
+    maps = block.get("maps") or {}
+    for key, value in (("terms", terms), ("maps", maps)):
+        if not isinstance(value, dict):
+            raise SpecError(f"{where}: {key!r} must be an object")
     space = ProductSpace(
         factors,
         groups=[(g[0], tuple(g[1])) for g in groups] if groups else None,
@@ -161,7 +165,6 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
     term_m = _sum_from_block(terms.get("m", []), where)
     term_c = _sum_from_block(terms.get("c", []), where)
     ring = CoordinateRing(factors, letters=block.get("letters"))
-    maps = block.get("maps") or {}
     map_f = _matrix_from_block(ring, maps["f"], where) if maps.get("f") else None
     map_g = _matrix_from_block(ring, maps["g"], where) if maps.get("g") else None
     try:
@@ -281,17 +284,24 @@ def _build_result(spec: MonadSpec):
     }
 
 
+def _instance_values(inst: dict, *keys: str) -> list:
+    missing = [key for key in keys if key not in inst]
+    if missing:
+        raise SpecError(f"instance block has no {missing[0]!r}")
+    return [inst[key] for key in keys]
+
+
 def _verify_result(spec: MonadSpec, inst: dict):
-    return verify_monad(
-        spec, prime=inst["prime"], trials=inst["trials"], seed=inst["seed"]
-    )
+    prime, trials, seed = _instance_values(inst, "prime", "trials", "seed")
+    return verify_monad(spec, prime=prime, trials=trials, seed=seed)
 
 
 def _stability_result(spec: MonadSpec, inst: dict):
+    polarization, constraint = _instance_values(inst, "polarization", "constraint")
     return stability_certificate(
         spec,
-        polarization=tuple(inst["polarization"]),
-        constraint=TwistMode(inst["constraint"]),
+        polarization=tuple(polarization),
+        constraint=TwistMode(constraint),
     )
 
 
@@ -544,6 +554,17 @@ def _selftest_vanishing() -> None:
         fast = vanishing_all_twists(space, middle, q, (1,) * l, mode)
         slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
         assert fast.passed == slow_pass, f"disagreement at {summands} q={q} {mode}"
+        if not fast.passed:
+            # the witness twist lies in the family and gives a global section
+            b = fast.witness_twist
+            if mode is TwistMode.TOTAL_NEGATIVE:
+                in_family = sum(b) < 0
+            else:
+                in_family = all(s < 0 for _, s in space.group_sums(b))
+            lam = exterior_power(middle, q).twist(b)
+            assert in_family and h_sum(space, lam, 0) >= 1, (
+                f"unsound witness {b} at {summands} q={q} {mode}"
+            )
 
 
 def _copy_vectors(limit: int):

@@ -141,10 +141,26 @@ def intersection_number(X: ProductSpace, classes: Sequence[Sequence[int]]) -> in
 
 
 def degree(X: ProductSpace, L: Sequence[int], c1: Sequence[int]) -> int:
-    """Degree of a class with respect to a polarization: c1 . L^(dim-1)."""
+    """Degree of a class with respect to a polarization: c1 . L^(dim-1).
+
+    Closed form of intersection_number(X, [c1] + [L] * (dim - 1)): only
+    h_i * prod_j h_j^(n_j - delta_ij) reaches the point class, so
+    deg = sum_i c1_i * multinomial(dim - 1; n - e_i) * prod_j L_j^(n_j - delta_ij).
+    """
     L = check_polarization(X, L)
     c1 = X.check_degree(c1)
-    return intersection_number(X, [c1] + [L] * (X.dim - 1))
+    total = 0
+    for i, ci in enumerate(c1):
+        if ci == 0:
+            continue
+        multinomial = math.factorial(X.dim - 1)
+        power = 1
+        for j, (n, lj) in enumerate(zip(X.factors, L)):
+            e = n - 1 if j == i else n
+            multinomial //= math.factorial(e)
+            power *= lj**e
+        total += ci * multinomial * power
+    return total
 
 
 def slope(deg: int, rank: int) -> Fraction:

@@ -84,11 +84,14 @@ def test_vanishing_witness_has_a_section():
 
 
 def test_vanishing_profile_counts():
+    # the subset-sum profiles are the summands of the exterior power
     x = ProductSpace((1, 3))
     middle = LineBundleSum([((0, 0), 8)])
     res = vanishing_all_twists(x, middle, 3, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
-    assert sum(p.count for p in res.profiles) == math.comb(8, 3)
-    assert res.profiles[0].t_s == (0, 0)
+    assert res.passed
+    profiles = exterior_power(middle, 3).summands
+    assert sum(count for _, count in profiles) == math.comb(8, 3)
+    assert profiles[0][0] == (0, 0)
 
 
 def test_vanishing_input_validation():
@@ -107,11 +110,38 @@ def test_vanishing_input_validation():
         vanishing_by_enumeration(x, big, 1, TwistMode.PER_GROUP_NEGATIVE)
 
 
+def random_groups(rng, l):
+    # None (one group per factor) or a random partition into named groups
+    if l == 1 or rng.random() < 0.4:
+        return None
+    order = list(range(l))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, l), rng.randint(0, l - 1)))
+    return tuple(
+        (f"g{i}", tuple(order[a:b]))
+        for i, (a, b) in enumerate(zip([0] + cuts, cuts + [l]))
+    )
+
+
+def first_violated(x, middle, q, mode):
+    # the sorted subset sums t_S, first one with every constrained sum >= 1
+    for t_s, _ in exterior_power(middle, q).summands:
+        if mode is TwistMode.TOTAL_NEGATIVE:
+            sums = [sum(t_s)]
+        else:
+            sums = [s for _, s in x.group_sums(t_s)]
+        if min(sums) >= 1:
+            return t_s
+    return None
+
+
 def test_vanishing_matches_enumeration():
     rng = random.Random(424)
-    for _ in range(60):
+    grouped = 0
+    for _ in range(120):
         l = rng.randint(1, 3)
-        x = ProductSpace(tuple(rng.randint(1, 2) for _ in range(l)))
+        x = ProductSpace(tuple(rng.randint(1, 2) for _ in range(l)), random_groups(rng, l))
+        grouped += any(len(idx) > 1 for _, idx in x.groups)
         n_kinds = rng.randint(1, 3)
         middle = LineBundleSum(
             [
@@ -121,13 +151,56 @@ def test_vanishing_matches_enumeration():
         )
         if middle.rank < 2:
             continue
-        q = rng.randint(1, min(middle.rank - 1, 5))
-        mode = rng.choice((TwistMode.PER_GROUP_NEGATIVE, TwistMode.TOTAL_NEGATIVE))
-        fast = vanishing_all_twists(x, middle, q, (1,) * l, mode)
-        slow_ok, slow_witness = vanishing_by_enumeration(x, middle, q, mode)
-        assert fast.passed == slow_ok, (x.factors, middle.summands, q, mode)
-        if not fast.passed:
-            assert slow_witness is not None
+        for mode in TwistMode:
+            for q in range(1, min(middle.rank - 1, 5) + 1):
+                fast = vanishing_all_twists(x, middle, q, (1,) * l, mode)
+                slow_ok, slow_witness = vanishing_by_enumeration(x, middle, q, mode)
+                assert fast.passed == slow_ok, (x.groups, middle.summands, q, mode)
+                if fast.passed:
+                    assert fast.witness_twist is None and fast.witness_profile is None
+                    continue
+                assert slow_witness is not None
+                assert fast.witness_profile == first_violated(x, middle, q, mode)
+                assert fast.witness_twist == tuple(-t for t in fast.witness_profile)
+                lam = exterior_power(middle, q).twist(fast.witness_twist)
+                assert h_sum(x, lam, 0) >= 1
+    assert grouped >= 20
+
+
+def test_stability_certificate_matches_per_q_decision():
+    # the all-q DP of the certificate against one vanishing_all_twists per q
+    rng = random.Random(515)
+    verdicts = []
+    for _ in range(60):
+        l = rng.randint(1, 3)
+        x = ProductSpace(tuple(rng.randint(1, 3) for _ in range(l)), random_groups(rng, l))
+        middle = LineBundleSum(
+            [
+                (tuple(rng.randint(-3, 2) for _ in range(l)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            ]
+        )
+        if middle.rank < 3:
+            continue
+        spec = custom_monad(
+            "random middle",
+            x,
+            LineBundleSum([((-3,) * l, 1)]),
+            middle,
+            LineBundleSum([((2,) * l, 1)]),
+        )
+        for mode in TwistMode:
+            cert = stability_certificate(spec, polarization=(1,) * l, constraint=mode)
+            verdicts.append(cert.verdict)
+            if cert.verdict == "unsupported":
+                continue
+            per_q = tuple(
+                vanishing_all_twists(x, spec.term_m, q, (1,) * l, mode)
+                for q in range(1, cert.rank_t)
+            )
+            assert cert.per_q == per_q
+            assert cert.verdict == ("stable" if all(r.passed for r in per_q) else "fails")
+    assert verdicts.count("stable") >= 10 and verdicts.count("fails") >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +233,16 @@ def test_stability_frozen_section4():
     assert cert.c1_t == (-3,) * 6
     assert cert.degree_t == -2160
     assert cert.k_e == -1
+
+
+def test_stability_large_section4_rung():
+    s = build_section4(5, 5, 5, 1, 2, 3, 3)
+    for mode in TwistMode:
+        cert = stability_certificate(s, constraint=mode)
+        assert cert.verdict == "stable"
+        assert cert.rank_t == 45
+        assert len(cert.per_q) == 44
+        assert all(q.passed for q in cert.per_q)
 
 
 def test_stability_counterexample_fails_with_witness():

@@ -204,6 +204,38 @@ def test_error_exits(tmp_path):
                str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)) == 2
 
 
+def test_spec_file_with_non_object_terms_or_maps(tmp_path, capsys):
+    for key, value in (("terms", [[[0, 0], 1]]), ("maps", [1, 2])):
+        spec = dict(COUNTEREXAMPLE, **{key: value})
+        p = tmp_path / f"{key}.json"
+        p.write_text(json.dumps(spec))
+        code = run("certify-stability", "--family", "custom", "--spec-file", str(p),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"'{key}' must be an object" in err
+
+
+def test_recheck_document_missing_instance_keys(tmp_path, capsys):
+    run("verify", "--family", "section3", "--copies", "2", "--k", "1",
+        "--out-dir", str(tmp_path))
+    run("certify-stability", "--family", "section3", "--copies", "2", "--k", "1",
+        "--out-dir", str(tmp_path))
+    cases = [("section3-dims1x1-k1.report.json", key) for key in ("prime", "trials", "seed")]
+    cases += [("section3-dims1x1-k1.stability.json", key)
+              for key in ("polarization", "constraint")]
+    for name, key in cases:
+        doc = json.loads((tmp_path / name).read_text())
+        del doc["instance"][key]
+        path = tmp_path / f"no-{key}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("recheck", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: instance block has no '{key}'\n"
+
+
 def test_selftest_passes(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out

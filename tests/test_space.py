@@ -137,6 +137,17 @@ def test_degree_frozen_values():
     assert degree(x6, (1,) * 6, (1,) * 6) == 6 * 120  # 6 * 5!
 
 
+def test_degree_matches_intersection_number():
+    # the closed form against the general truncated-ring expansion
+    rng = random.Random(1984)
+    for _ in range(300):
+        l = rng.randint(1, 4)
+        x = ProductSpace(tuple(rng.randint(1, 4) for _ in range(l)))
+        L = tuple(rng.randint(1, 4) for _ in range(l))
+        c1 = tuple(rng.randint(-6, 6) for _ in range(l))
+        assert degree(x, L, c1) == intersection_number(x, [c1] + [L] * (x.dim - 1))
+
+
 def test_slope():
     assert slope(-8, 3) == Fraction(-8, 3)
     assert slope(4, 2) == 2
