@@ -119,11 +119,25 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise SpecError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _monomial(ring: CoordinateRing, mono) -> tuple[int, ...]:
+    if not (
+        isinstance(mono, list)
+        and len(mono) == ring.nvars
+        and all(_is_int(e) and e >= 0 for e in mono)
+    ):
+        raise ValueError(f"monomial {mono!r} is not {ring.nvars} nonnegative integers")
+    return tuple(mono)
+
+
 def _matrix_from_block(ring: CoordinateRing, block: dict, where: str) -> MonadMatrix:
     try:
         rows = [
             [
-                SparsePoly(ring, {tuple(mono): int(coeff) for coeff, mono in entry})
+                SparsePoly(ring, {_monomial(ring, mono): int(coeff) for coeff, mono in entry})
                 for entry in row
             ]
             for row in block["entries"]
@@ -154,17 +168,26 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     maps = block.get("maps") or {}
+    letters = block.get("letters")
     for key, value in (("terms", terms), ("maps", maps)):
         if not isinstance(value, dict):
             raise SpecError(f"{where}: {key!r} must be an object")
-    space = ProductSpace(
-        factors,
-        groups=[(g[0], tuple(g[1])) for g in groups] if groups else None,
-    )
+    if letters is not None and not (
+        isinstance(letters, list) and all(isinstance(x, str) for x in letters)
+    ):
+        raise SpecError(f"{where}: 'letters' must be a list of strings")
+    if groups:
+        try:
+            groups = [(name, tuple(idx)) for name, idx in groups]
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"{where}: 'groups' must be a list of [name, [factor indices]] pairs"
+            ) from exc
+    space = ProductSpace(factors, groups=groups or None)
     term_a = _sum_from_block(terms.get("a", []), where)
     term_m = _sum_from_block(terms.get("m", []), where)
     term_c = _sum_from_block(terms.get("c", []), where)
-    ring = CoordinateRing(factors, letters=block.get("letters"))
+    ring = CoordinateRing(factors, letters=letters)
     map_f = _matrix_from_block(ring, maps["f"], where) if maps.get("f") else None
     map_g = _matrix_from_block(ring, maps["g"], where) if maps.get("g") else None
     try:
@@ -284,10 +307,29 @@ def _build_result(spec: MonadSpec):
     }
 
 
+_INSTANCE_TYPES = {
+    "prime": (_is_int, "an integer"),
+    "trials": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "polarization": (
+        lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+        "a list of integers",
+    ),
+    "constraint": (
+        lambda v: v in [mode.value for mode in TwistMode],
+        f"one of {', '.join(mode.value for mode in TwistMode)}",
+    ),
+}
+
+
 def _instance_values(inst: dict, *keys: str) -> list:
     missing = [key for key in keys if key not in inst]
     if missing:
         raise SpecError(f"instance block has no {missing[0]!r}")
+    for key in keys:
+        check, expected = _INSTANCE_TYPES[key]
+        if not check(inst[key]):
+            raise SpecError(f"instance {key!r} must be {expected}, got {inst[key]!r}")
     return [inst[key] for key in keys]
 
 
@@ -733,10 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes SpecError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

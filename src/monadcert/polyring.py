@@ -10,6 +10,7 @@ prime field.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -129,6 +130,28 @@ class CoordinateRing:
         return "*".join(parts) if parts else "1"
 
 
+def _eval_monomial(mono: Monomial, point: Sequence[int], p: int) -> int:
+    v = 1
+    for i, e in enumerate(mono):
+        if e:
+            v = v * pow(point[i], e, p) % p
+    return v
+
+
+def _power_bases(mono: Monomial) -> tuple[Monomial, ...]:
+    """Every base b with mono == b^e for some e >= 1.
+
+    These are mono / d for each divisor d of the gcd of the exponents; the
+    unit monomial (gcd 0) has none.
+    """
+    g = math.gcd(*mono)
+    if g == 1:
+        return (mono,)
+    divisors = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
+    divisors += [g // d for d in divisors if d * d != g]
+    return tuple(tuple(x // d for x in mono) for d in divisors)
+
+
 class SparsePoly:
     """Polynomial as a map monomial -> nonzero integer coefficient."""
 
@@ -201,12 +224,8 @@ class SparsePoly:
     def eval_mod(self, point: Sequence[int], p: int) -> int:
         total = 0
         for mono, coeff in self.terms.items():
-            v = coeff % p
-            for i, e in enumerate(mono):
-                if e:
-                    v = v * pow(point[i], e, p) % p
-            total = (total + v) % p
-        return total
+            total += coeff * _eval_monomial(mono, point, p)
+        return total % p
 
     def __str__(self) -> str:
         if not self.terms:
@@ -260,6 +279,7 @@ class MonadMatrix:
         for lab in self.row_labels + self.col_labels:
             if len(lab) != l:
                 raise ValueError(f"label {lab} has wrong length, expected {l}")
+        self._powers = None
 
     @property
     def nrows(self) -> int:
@@ -301,7 +321,43 @@ class MonadMatrix:
         return not self.degree_mismatches()
 
     def eval_mod(self, point: Sequence[int], p: int) -> list[list[int]]:
-        return [[e.eval_mod(point, p) for e in row] for row in self.entries]
+        """Entries at `point` mod p, each distinct monomial evaluated once."""
+        values: dict[Monomial, int] = {}
+        out = []
+        for row in self.entries:
+            vals = []
+            for e in row:
+                total = 0
+                for mono, coeff in e.terms.items():
+                    v = values.get(mono)
+                    if v is None:
+                        v = values[mono] = _eval_monomial(mono, point, p)
+                    total += coeff * v
+                vals.append(total % p)
+            out.append(vals)
+        return out
+
+    def _power_index(
+        self,
+    ) -> tuple[dict[Monomial, list[tuple[int, int]]], dict[tuple[int, int], tuple[Monomial, ...]]]:
+        """Single-term entries c * b^e (e >= 1) by base b, built once per matrix.
+
+        Returns (b -> positions in row-major order, position -> its bases);
+        see `_power_bases`.
+        """
+        if self._powers is None:
+            by_base: dict[Monomial, list[tuple[int, int]]] = {}
+            bases_at: dict[tuple[int, int], tuple[Monomial, ...]] = {}
+            for r, row in enumerate(self.entries):
+                for c, e in enumerate(row):
+                    if len(e.terms) != 1:
+                        continue
+                    bases = _power_bases(next(iter(e.terms)))
+                    bases_at[r, c] = bases
+                    for base in bases:
+                        by_base.setdefault(base, []).append((r, c))
+            self._powers = by_base, bases_at
+        return self._powers
 
 
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
@@ -327,10 +383,6 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
             row.append(acc)
         out.append(row)
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
-
-
-def is_zero(m: MonadMatrix) -> bool:
-    return m.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +504,6 @@ class TriangularWitness:
     guards: tuple[str, ...]
 
 
-def _pure_power(poly: SparsePoly, base: Monomial) -> int | None:
-    # single term c * base^e with e >= 1, any nonzero integer c
-    if len(poly.terms) != 1:
-        return None
-    mono = next(iter(poly.terms))
-    i0 = next((i for i, b in enumerate(base) if b), None)
-    if i0 is None:
-        return None
-    e, rem = divmod(mono[i0], base[i0])
-    if rem or e < 1:
-        return None
-    if mono != tuple(e * b for b in base):
-        return None
-    return e
-
-
 def triangular_witness(
     m: MonadMatrix,
     symbol: WitnessSymbol,
@@ -487,22 +523,21 @@ def triangular_witness(
         s_idx = names.index(symbol.name)
     except ValueError:
         raise ValueError(f"symbol {symbol.name} not in family {names}") from None
-    earlier = family[:s_idx]
+    by_base, bases_at = m._power_index()
+    earlier: dict[Monomial, int] = {}  # monomial -> its first index in the family
+    for i, s in enumerate(family[:s_idx]):
+        earlier.setdefault(s.monomial, i)
 
-    def guard_of(poly: SparsePoly) -> tuple[bool, str | None]:
-        if poly.is_zero():
+    def guard_of(r: int, c: int) -> tuple[bool, str | None]:
+        # the earliest earlier symbol that the entry is a pure power of
+        if m.entries[r][c].is_zero():
             return True, None
-        for s in earlier:
-            if _pure_power(poly, s.monomial) is not None:
-                return True, s.name
+        hits = [earlier[b] for b in bases_at.get((r, c), ()) if b in earlier]
+        if hits:
+            return True, names[min(hits)]
         return False, None
 
-    positions = [
-        (r, c)
-        for r in range(m.nrows)
-        for c in range(m.ncols)
-        if _pure_power(m.entries[r][c], symbol.monomial) is not None
-    ]
+    positions = by_base.get(symbol.monomial, ())
     if len(positions) < k:
         return None
 
@@ -521,7 +556,7 @@ def triangular_witness(
             new_guards = []
             ok = True
             for _, ca in chosen:
-                good, g = guard_of(m.entries[r][ca])
+                good, g = guard_of(r, ca)
                 if not good:
                     ok = False
                     break

@@ -217,6 +217,38 @@ def test_spec_file_with_non_object_terms_or_maps(tmp_path, capsys):
         assert f"'{key}' must be an object" in err
 
 
+def test_spec_file_with_malformed_groups_or_letters(tmp_path, capsys):
+    cases = (
+        ("groups", 5, "'groups' must be a list of [name, [factor indices]] pairs"),
+        ("groups", [["a"]], "'groups' must be a list of [name, [factor indices]] pairs"),
+        ("letters", 5, "'letters' must be a list of strings"),
+    )
+    for i, (key, value, message) in enumerate(cases):
+        p = tmp_path / f"bad{i}.json"
+        p.write_text(json.dumps(dict(COUNTEREXAMPLE, **{key: value})))
+        code = run("certify-stability", "--family", "custom", "--spec-file", str(p),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_spec_file_with_malformed_monomials(tmp_path, capsys):
+    g = {"entries": [[[[1, [1, 0]]], [[1, [0, 1]]]]],
+         "row_labels": [[1]], "col_labels": [[0], [0]]}
+    spec = {"name": "bad monomial", "factors": [1], "letters": ["x"],
+            "terms": {"a": [], "m": [[[0], 2]], "c": [[[1], 1]]}}
+    for i, mono in enumerate(([1.5, 0], [1, 0, 0], [-1, 1], "x0")):
+        entries = [[[[1, mono]], [[1, [0, 1]]]]]
+        p = tmp_path / f"mono{i}.json"
+        p.write_text(json.dumps(dict(spec, maps={"g": dict(g, entries=entries)})))
+        code = run("verify", "--family", "custom", "--spec-file", str(p),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "is not 2 nonnegative integers" in err
+
+
 def test_recheck_document_missing_instance_keys(tmp_path, capsys):
     run("verify", "--family", "section3", "--copies", "2", "--k", "1",
         "--out-dir", str(tmp_path))
@@ -250,3 +282,31 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "monadcert 0.1.0"
+
+
+def test_recheck_document_wrong_typed_instance_values(tmp_path, capsys):
+    run("verify", "--family", "section3", "--copies", "2", "--k", "1",
+        "--out-dir", str(tmp_path))
+    run("certify-stability", "--family", "section3", "--copies", "2", "--k", "1",
+        "--out-dir", str(tmp_path))
+    report = "section3-dims1x1-k1.report.json"
+    stability = "section3-dims1x1-k1.stability.json"
+    cases = [
+        (report, "prime", "abc", "an integer"),
+        (report, "trials", "x", "an integer"),
+        (report, "trials", 2.5, "an integer"),
+        (report, "seed", True, "an integer"),
+        (stability, "polarization", 5, "a list of integers"),
+        (stability, "polarization", [1, "1"], "a list of integers"),
+        (stability, "constraint", ["total-negative"],
+         "one of per-group-negative, total-negative"),
+    ]
+    for name, key, value, expected in cases:
+        doc = json.loads((tmp_path / name).read_text())
+        doc["instance"][key] = value
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("recheck", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: instance {key!r} must be {expected}, got {value!r}\n"

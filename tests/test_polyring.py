@@ -336,3 +336,171 @@ def test_witness_on_band_matrix():
     assert w0 is not None and w0.strict
     w1 = triangular_witness(band, fam[1], 2, fam)
     assert w1 is not None
+
+
+# ---------------------------------------------------------------------------
+# indexed witness search and memoized evaluation against the plain scans
+
+
+def _pure_power_reference(poly, base):
+    # single term c * base^e with e >= 1, any nonzero integer c
+    if len(poly.terms) != 1:
+        return None
+    mono = next(iter(poly.terms))
+    i0 = next((i for i, b in enumerate(base) if b), None)
+    if i0 is None:
+        return None
+    e, rem = divmod(mono[i0], base[i0])
+    if rem or e < 1:
+        return None
+    if mono != tuple(e * b for b in base):
+        return None
+    return e
+
+
+def _witness_reference(m, symbol, k, family):
+    # the whole-matrix scan: every entry tested against every symbol
+    names = [s.name for s in family]
+    earlier = family[: names.index(symbol.name)]
+
+    def guard_of(poly):
+        if poly.is_zero():
+            return True, None
+        for s in earlier:
+            if _pure_power_reference(poly, s.monomial) is not None:
+                return True, s.name
+        return False, None
+
+    positions = [
+        (r, c)
+        for r in range(m.nrows)
+        for c in range(m.ncols)
+        if _pure_power_reference(m.entries[r][c], symbol.monomial) is not None
+    ]
+    chosen, guards = [], []
+
+    def extend(start):
+        if len(chosen) == k:
+            return True
+        for i in range(start, len(positions)):
+            r, c = positions[i]
+            if any(r == ra or c == ca for ra, ca in chosen):
+                continue
+            new_guards = []
+            for _, ca in chosen:
+                good, g = guard_of(m.entries[r][ca])
+                if not good:
+                    break
+                if g is not None:
+                    new_guards.append(g)
+            else:
+                chosen.append((r, c))
+                guards.extend(new_guards)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+                del guards[len(guards) - len(new_guards):]
+        return False
+
+    if len(positions) < k or not extend(0):
+        return None
+    dedup = tuple(sorted(set(guards), key=names.index))
+    return (tuple(r for r, _ in chosen), tuple(c for _, c in chosen), not dedup, dedup)
+
+
+def _random_witness_case(rng):
+    ring = CoordinateRing((1, 1), letters=("x", "y"))
+    x0, x1, y0, y1 = (ring.unit_monomial([pick]) for pick in
+                      ((0, 0), (0, 1), (1, 0), (1, 1)))
+    mul = lambda a, b: tuple(i + j for i, j in zip(a, b))
+    power = lambda a, e: tuple(e * i for i in a)
+    # non-primitive members (x0^2, x0^3) and chains of powers of one base
+    pool = [x0, x1, y0, y1, power(x0, 2), power(x0, 3), mul(x0, y0),
+            power(mul(x0, y1), 2), mul(x1, y1)]
+    family = tuple(WitnessSymbol(f"s{i}", mono)
+                   for i, mono in enumerate(rng.sample(pool, rng.randint(2, 6))))
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+
+    def entry():
+        kind = rng.random()
+        coeff = rng.choice((-3, -2, -1, 1, 2, 5))
+        if kind < 0.2:
+            return ring.zero()
+        if kind < 0.25:
+            return coeff * ring.one()
+        if kind < 0.85:
+            mono = power(rng.choice(family).monomial, rng.randint(1, 3))
+            return SparsePoly(ring, {mono: coeff})
+        if kind < 0.93:
+            return SparsePoly(ring, {rng.choice(pool): coeff, rng.choice(pool): 1})
+        mono = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+        return SparsePoly(ring, {mono: coeff})
+
+    entries = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
+    # late symbols have earlier ones to guard with; the rest meet later powers
+    symbol = family[-1] if rng.random() < 0.4 else rng.choice(family)
+    k = rng.randint(1 if rng.random() < 0.2 else min(2, nrows, ncols), min(nrows, ncols))
+    return m, symbol, k, family
+
+
+def test_indexed_witness_matches_full_scan():
+    rng = random.Random(2718)
+    found = guarded = refused = 0
+    for _ in range(600):
+        m, symbol, k, family = _random_witness_case(rng)
+        want = _witness_reference(m, symbol, k, family)
+        w = triangular_witness(m, symbol, k, family)
+        if want is None:
+            assert w is None
+            candidates = sum(_pure_power_reference(e, symbol.monomial) is not None
+                             for row in m.entries for e in row)
+            refused += candidates >= k  # some entry under the diagonal had no guard
+            continue
+        assert w is not None
+        assert (w.rows, w.cols, w.strict, w.guards) == want
+        assert w.symbol == symbol.name
+        found += 1
+        guarded += not w.strict
+    # the draws exercise strict and guarded witnesses and refused searches
+    assert found - guarded >= 100 and guarded >= 50 and refused >= 50
+
+
+def test_witness_guard_is_earliest_matching_symbol():
+    r = CoordinateRing((1,), letters=("x",))
+    x0 = r.unit_monomial([(0, 0)])
+    x1 = r.unit_monomial([(0, 1)])
+    fam = (
+        WitnessSymbol("x0", x0),
+        WitnessSymbol("x0^2", (2, 0)),
+        WitnessSymbol("x1", x1),
+    )
+    lab = [(0,)] * 2
+    # x0^4 below the x1 diagonal is a power of both x0 and x0^2
+    m = MonadMatrix(
+        r,
+        [[r.variable(0, 1), r.zero()], [SparsePoly(r, {(4, 0): -2}), 3 * r.variable(0, 1)]],
+        lab,
+        lab,
+    )
+    w = triangular_witness(m, fam[2], 2, fam)
+    assert w.guards == ("x0",) and not w.strict
+    # x0^3 is a power of x0 but not of x0^2
+    m3 = MonadMatrix(r, [[SparsePoly(r, {(3, 0): 1})]], [(0,)], [(0,)])
+    assert triangular_witness(m3, fam[0], 1, fam) is not None
+    assert triangular_witness(m3, fam[1], 1, fam) is None
+
+
+def test_matrix_eval_matches_entrywise_eval():
+    rng = random.Random(31)
+    ring = CoordinateRing((1, 2))
+    p = DEFAULT_PRIME
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        # a small monomial pool so that entries share monomials
+        entries = [[random_poly(rng, ring) for _ in range(ncols)] for _ in range(nrows)]
+        m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
+        point = [rng.randrange(p) for _ in range(ring.nvars)]
+        got = m.eval_mod(point, p)
+        assert got == [[e.eval_mod(point, p) for e in row] for row in entries]
+        assert got == [[eval_direct(e, point, p) for e in row] for row in entries]
