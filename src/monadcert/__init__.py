@@ -10,7 +10,6 @@ from .space import (
     ProductSpace,
     degree,
     dimension_blocks,
-    intersection_number,
     normalize,
     slope,
 )
@@ -37,11 +36,9 @@ from .polyring import (
 )
 from .monad import (
     DisplaySummary,
-    FloystadResult,
     MapEvidence,
     MonadReport,
     MonadSpec,
-    SegreIndexer,
     build_section3,
     build_section4,
     copies_to_factors,
@@ -57,12 +54,10 @@ from .certify import (
     SimplicityCertificate,
     StabilityCertificate,
     TwistMode,
-    VanishingResult,
     les_vanish,
     simplicity_certificate,
     stability_certificate,
     vanishing_all_twists,
-    vanishing_by_enumeration,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +68,6 @@ __all__ = [
     "ProductSpace",
     "degree",
     "dimension_blocks",
-    "intersection_number",
     "normalize",
     "slope",
     "LineBundleSum",
@@ -94,11 +88,9 @@ __all__ = [
     "rank_at_random_points",
     "triangular_witness",
     "DisplaySummary",
-    "FloystadResult",
     "MapEvidence",
     "MonadReport",
     "MonadSpec",
-    "SegreIndexer",
     "build_section3",
     "build_section4",
     "copies_to_factors",
@@ -112,10 +104,8 @@ __all__ = [
     "SimplicityCertificate",
     "StabilityCertificate",
     "TwistMode",
-    "VanishingResult",
     "les_vanish",
     "simplicity_certificate",
     "stability_certificate",
     "vanishing_all_twists",
-    "vanishing_by_enumeration",
 ]

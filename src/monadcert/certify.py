@@ -19,7 +19,6 @@ other way around.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,9 +55,6 @@ class QResult:
     passed: bool
     witness_twist: MultiDegree | None
     witness_profile: MultiDegree | None
-
-
-VanishingResult = QResult
 
 
 def _constrained_sums(
@@ -134,7 +130,6 @@ def vanishing_all_twists(
     x: ProductSpace,
     middle: LineBundleSum,
     q: int,
-    polarization: MultiDegree,
     constraint: TwistMode,
 ) -> QResult:
     """Decide h^0(Lambda^q(middle)(B)) = 0 for every twist B in the family.
@@ -154,48 +149,11 @@ def vanishing_all_twists(
     witness is the first violated t_S among exterior_power(middle, q)'s
     sorted summands, returned with the twist B = -t_S.
     """
-    x.check_degree(polarization)
     if not 1 <= q <= middle.rank - 1:
         raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
     for deg, _ in middle.summands:
         x.check_degree(deg)
     return _q_result(x, middle, q, constraint, _failing_counts(x, middle, q, constraint))
-
-
-def vanishing_by_enumeration(
-    x: ProductSpace,
-    middle: LineBundleSum,
-    q: int,
-    constraint: TwistMode,
-    box: int = 5,
-) -> tuple[bool, MultiDegree | None]:
-    """Brute-force oracle: try every twist in [-box, box]^l against every q-subset.
-
-    Exhaustive over the full family only when box covers all candidate
-    twists -t_S (true for small summand degrees); used for cross-checks.
-    Capped at middle rank 16 to keep subset enumeration honest but bounded.
-    """
-    if middle.rank > 16:
-        raise ValueError("enumeration oracle capped at middle rank 16")
-    if not 1 <= q <= middle.rank - 1:
-        raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
-    l = x.picard_rank
-    degs = middle.degrees()
-    sums = set()
-    for subset in itertools.combinations(range(len(degs)), q):
-        t_s = tuple(sum(degs[i][j] for i in subset) for j in range(l))
-        sums.add(t_s)
-    for b in itertools.product(range(-box, box + 1), repeat=l):
-        if constraint is TwistMode.TOTAL_NEGATIVE:
-            if sum(b) >= 0:
-                continue
-        else:
-            if any(s >= 0 for _, s in x.group_sums(b)):
-                continue
-        for t_s in sorted(sums):
-            if all(bb + tt >= 0 for bb, tt in zip(b, t_s)):
-                return False, b
-    return True, None
 
 
 # ---------------------------------------------------------------------------

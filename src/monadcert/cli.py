@@ -12,19 +12,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import itertools
 import json
-import math
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
-from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
+from . import __version__, oracles
+from .cohomology import LineBundleSum, h_sum
 from .monad import (
     MonadSpec,
     build_section3,
@@ -32,18 +29,11 @@ from .monad import (
     copies_to_factors,
     custom_monad,
     display_summary,
-    nu,
     verify_monad,
 )
-from .certify import (
-    TwistMode,
-    simplicity_certificate,
-    stability_certificate,
-    vanishing_all_twists,
-    vanishing_by_enumeration,
-)
+from .certify import TwistMode, simplicity_certificate, stability_certificate
 from .polyring import DEFAULT_PRIME, DEFAULT_TRIALS, CoordinateRing, MonadMatrix, SparsePoly
-from .space import ProductSpace
+from .space import ProductSpace, check_polarization
 
 
 class SpecError(ValueError):
@@ -123,84 +113,108 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _monomial(ring: CoordinateRing, mono) -> tuple[int, ...]:
-    if not (
-        isinstance(mono, list)
-        and len(mono) == ring.nvars
-        and all(_is_int(e) and e >= 0 for e in mono)
-    ):
-        raise ValueError(f"monomial {mono!r} is not {ring.nvars} nonnegative integers")
-    return tuple(mono)
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
 
 
-def _matrix_from_block(ring: CoordinateRing, block: dict, where: str) -> MonadMatrix:
+def _is_pairs(value, first, second) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and first(p[0]) and second(p[1]) for p in value
+    )
+
+
+_CONSTRAINTS = [mode.value for mode in TwistMode]
+
+# what each key of a spec file or of a document's instance block must hold
+_KEY_TYPES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "factors": (_is_int_list, "a list of integers"),
+    "groups": (
+        lambda v: _is_pairs(v, lambda name: isinstance(name, str), _is_int_list),
+        "a list of [name, [factor indices]] pairs",
+    ),
+    "terms": (lambda v: isinstance(v, dict), "an object"),
+    "letters": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "maps": (lambda v: isinstance(v, dict), "an object"),
+    "polarization": (_is_int_list, "a list of integers"),
+    "constraint": (lambda v: v in _CONSTRAINTS, f"one of {', '.join(_CONSTRAINTS)}"),
+    "prime": (_is_int, "an integer"),
+    "trials": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+}
+_SPEC_KEYS = ("name", "factors", "groups", "terms", "letters", "maps", "polarization", "constraint")
+_REQUIRED_SPEC_KEYS = ("name", "factors", "terms")
+
+
+def _poly(ring: CoordinateRing, entry) -> SparsePoly:
+    terms = {}
+    for coeff, mono in entry:
+        if not (_is_int_list(mono) and len(mono) == ring.nvars and all(e >= 0 for e in mono)):
+            raise ValueError(f"monomial {mono!r} is not {ring.nvars} nonnegative integers")
+        if not _is_int(coeff):
+            raise ValueError(f"coefficient {coeff!r} is not an integer")
+        if tuple(mono) in terms:
+            raise ValueError(f"monomial {mono} is listed twice in one entry")
+        terms[tuple(mono)] = coeff
+    return SparsePoly(ring, terms)
+
+
+def _matrix_from_block(ring: CoordinateRing, block) -> MonadMatrix:
     try:
-        rows = [
-            [
-                SparsePoly(ring, {_monomial(ring, mono): int(coeff) for coeff, mono in entry})
-                for entry in row
-            ]
-            for row in block["entries"]
-        ]
-        return MonadMatrix(
-            ring,
-            rows,
-            [tuple(lab) for lab in block["row_labels"]],
-            [tuple(lab) for lab in block["col_labels"]],
-        )
+        rows = [[_poly(ring, entry) for entry in row] for row in block["entries"]]
+        labels = (block["row_labels"], block["col_labels"])
+        for lab in labels[0] + labels[1]:
+            if not _is_int_list(lab):
+                raise ValueError(f"label {lab!r} is not a list of integers")
+        return MonadMatrix(ring, rows, *labels)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: bad matrix block: {exc}") from exc
+        raise ValueError(f"bad matrix block: {exc}") from exc
 
 
-def _sum_from_block(block, where: str) -> LineBundleSum:
-    try:
-        return LineBundleSum([(tuple(deg), int(mult)) for deg, mult in block])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: bad line-bundle sum: {exc}") from exc
+def _sum_from_block(pairs, l: int, name: str) -> LineBundleSum:
+    if not _is_pairs(pairs, lambda d: _is_int_list(d) and len(d) == l, _is_int):
+        raise ValueError(
+            f"term {name!r} must be a list of [degree, multiplicity] pairs, "
+            f"{l} integers per degree"
+        )
+    return LineBundleSum(pairs)
 
 
 def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
+    """Check every key of a spec file or custom instance block, then build the spec.
+
+    Optional keys that are absent or null take their defaults.
+    """
     try:
-        name = block["name"]
-        factors = tuple(int(n) for n in block["factors"])
-        groups = block.get("groups")
-        terms = block["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: {exc}") from exc
-    maps = block.get("maps") or {}
-    letters = block.get("letters")
-    for key, value in (("terms", terms), ("maps", maps)):
-        if not isinstance(value, dict):
-            raise SpecError(f"{where}: {key!r} must be an object")
-    if letters is not None and not (
-        isinstance(letters, list) and all(isinstance(x, str) for x in letters)
-    ):
-        raise SpecError(f"{where}: 'letters' must be a list of strings")
-    if groups:
-        try:
-            groups = [(name, tuple(idx)) for name, idx in groups]
-        except (TypeError, ValueError) as exc:
-            raise SpecError(
-                f"{where}: 'groups' must be a list of [name, [factor indices]] pairs"
-            ) from exc
-    space = ProductSpace(factors, groups=groups or None)
-    term_a = _sum_from_block(terms.get("a", []), where)
-    term_m = _sum_from_block(terms.get("m", []), where)
-    term_c = _sum_from_block(terms.get("c", []), where)
-    ring = CoordinateRing(factors, letters=letters)
-    map_f = _matrix_from_block(ring, maps["f"], where) if maps.get("f") else None
-    map_g = _matrix_from_block(ring, maps["g"], where) if maps.get("g") else None
-    try:
+        for key in _SPEC_KEYS:
+            check, expected = _KEY_TYPES[key]
+            if block.get(key) is None:
+                if key in _REQUIRED_SPEC_KEYS:
+                    raise ValueError(f"missing key {key!r}")
+            elif not check(block[key]):
+                raise ValueError(f"{key!r} must be {expected}")
+        factors = block["factors"]
+        space = ProductSpace(factors, groups=block.get("groups"))
+        terms = [_sum_from_block(block["terms"].get(t, []), len(factors), t) for t in "amc"]
+        ring = CoordinateRing(factors, letters=block.get("letters"))
+        maps = block.get("maps") or {}
+        map_f, map_g = (
+            None if maps.get(m) is None else _matrix_from_block(ring, maps[m]) for m in "fg"
+        )
+        polarization = block.get("polarization")
+        if polarization is not None:
+            check_polarization(space, polarization)
         return custom_monad(
-            name,
+            block["name"],
             space,
-            term_a,
-            term_m,
-            term_c,
+            *terms,
             map_f=map_f,
             map_g=map_g,
-            polarization=tuple(block["polarization"]) if block.get("polarization") else None,
-            constraint=block.get("constraint", "per-group-negative"),
+            polarization=polarization,
+            constraint=block.get("constraint") or "per-group-negative",
         )
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
@@ -307,27 +321,12 @@ def _build_result(spec: MonadSpec):
     }
 
 
-_INSTANCE_TYPES = {
-    "prime": (_is_int, "an integer"),
-    "trials": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "polarization": (
-        lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
-        "a list of integers",
-    ),
-    "constraint": (
-        lambda v: v in [mode.value for mode in TwistMode],
-        f"one of {', '.join(mode.value for mode in TwistMode)}",
-    ),
-}
-
-
 def _instance_values(inst: dict, *keys: str) -> list:
     missing = [key for key in keys if key not in inst]
     if missing:
         raise SpecError(f"instance block has no {missing[0]!r}")
     for key in keys:
-        check, expected = _INSTANCE_TYPES[key]
+        check, expected = _KEY_TYPES[key]
         if not check(inst[key]):
             raise SpecError(f"instance {key!r} must be {expected}, got {inst[key]!r}")
     return [inst[key] for key in keys]
@@ -382,10 +381,6 @@ def _certify_inst(args, spec: MonadSpec, inst: dict) -> dict:
         else spec.default_polarization
     )
     constraint = args.constraint or spec.default_constraint
-    try:
-        TwistMode(constraint)
-    except ValueError as exc:
-        raise SpecError(f"unknown constraint {constraint!r}") from exc
     inst = dict(inst)
     inst["polarization"] = list(polarization)
     inst["constraint"] = constraint
@@ -525,145 +520,11 @@ def cmd_recheck(args) -> int:
     return 0 if ok else 1
 
 
-# ---------------------------------------------------------------------------
-# selftest oracle suites
-
-def _count_monomials(n: int, d: int) -> int:
-    if d < 0:
-        return 0
-    return sum(1 for _ in itertools.combinations_with_replacement(range(n + 1), d))
-
-
-def _selftest_bott() -> None:
-    for n in range(1, 4):
-        for d in range(-8, 9):
-            for i in range(0, n + 2):
-                if i == 0:
-                    want = _count_monomials(n, d)
-                elif i == n:
-                    want = _count_monomials(n, -d - n - 1)
-                else:
-                    want = 0
-                got = h_pn(n, d, i)
-                assert got == want, f"h_pn({n},{d},{i}) = {got}, counted {want}"
-
-
-def _selftest_serre_kunneth() -> None:
-    rng = random.Random(15485863)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        d = rng.randint(-12, 12)
-        i = rng.randint(0, n)
-        assert h_pn(n, d, i) == h_pn(n, -d - n - 1, n - i)
-    for _ in range(200):
-        factors = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        space = ProductSpace(factors)
-        deg = tuple(rng.randint(-6, 6) for _ in factors)
-        total = sum(h_line(space, deg, p) for p in range(space.dim + 1))
-        prod = 1
-        for n, d in zip(factors, deg):
-            prod *= sum(h_pn(n, d, q) for q in range(n + 1))
-        assert total == prod, f"kunneth total law fails at {factors} {deg}"
-
-
-def _selftest_exterior() -> None:
-    rng = random.Random(32452843)
-    for _ in range(60):
-        l = rng.randint(1, 3)
-        summands = [
-            (tuple(rng.randint(-2, 2) for _ in range(l)), rng.randint(1, 3))
-            for _ in range(rng.randint(1, 3))
-        ]
-        g = LineBundleSum(summands)
-        for q in range(0, g.rank + 2):
-            assert exterior_power(g, q).rank == math.comb(g.rank, q)
-
-
-def _selftest_vanishing() -> None:
-    rng = random.Random(49979687)
-    for _ in range(30):
-        l = rng.randint(1, 3)
-        space = ProductSpace(tuple(rng.randint(1, 3) for _ in range(l)))
-        summands = [
-            (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, 2))
-            for _ in range(rng.randint(1, 3))
-        ]
-        middle = LineBundleSum(summands)
-        if middle.rank < 2:
-            continue
-        q = rng.randint(1, middle.rank - 1)
-        mode = rng.choice((TwistMode.PER_GROUP_NEGATIVE, TwistMode.TOTAL_NEGATIVE))
-        fast = vanishing_all_twists(space, middle, q, (1,) * l, mode)
-        slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
-        assert fast.passed == slow_pass, f"disagreement at {summands} q={q} {mode}"
-        if not fast.passed:
-            # the witness twist lies in the family and gives a global section
-            b = fast.witness_twist
-            if mode is TwistMode.TOTAL_NEGATIVE:
-                in_family = sum(b) < 0
-            else:
-                in_family = all(s < 0 for _, s in space.group_sums(b))
-            lam = exterior_power(middle, q).twist(b)
-            assert in_family and h_sum(space, lam, 0) >= 1, (
-                f"unsound witness {b} at {summands} q={q} {mode}"
-            )
-
-
-def _copy_vectors(limit: int):
-    """All copy vectors (no trailing zeros) with prod (2i+2)^{c_i} <= limit."""
-    stack = [((), 1)]
-    while stack:
-        prefix, product = stack.pop()
-        yield prefix
-        pos = len(prefix)
-        while True:
-            radix = 2 * pos + 2
-            if product * radix > limit:
-                break
-            c = 1
-            while product * radix**c <= limit:
-                stack.append(
-                    (prefix + (0,) * (pos - len(prefix)) + (c,), product * radix**c)
-                )
-                c += 1
-            pos += 1
-
-
-def _selftest_nu() -> None:
-    # every copy vector with factor-count product <= 512, compared against
-    # the half-product form evaluated in exact rationals
-    seen = 0
-    for copies in _copy_vectors(512):
-        half = Fraction(1, 2)
-        for i, c in enumerate(copies):
-            half *= Fraction(2 * i + 2) ** c
-        if half.denominator != 1:
-            continue
-        assert nu(copies) == half - 1, f"nu({copies})"
-        seen += 1
-    assert seen > 10
-
-
-def _selftest_monads() -> None:
-    spec3 = build_section3(ProductSpace((1, 1)), 1)
-    assert verify_monad(spec3).valid
-    spec4 = build_section4(1, 1, 1, 1, 1, 1, 1)
-    assert verify_monad(spec4).valid
-
-
 def cmd_selftest(args) -> int:
-    suites = (
-        ("bott-vs-monomial-count", _selftest_bott),
-        ("serre-kunneth", _selftest_serre_kunneth),
-        ("exterior-rank", _selftest_exterior),
-        ("vanishing-dp-vs-enumeration", _selftest_vanishing),
-        ("nu-half-product", _selftest_nu),
-        ("monad-validity", _selftest_monads),
-    )
     failures = 0
-    for name, fn in suites:
+    for name, check in oracles.SUITES:
         try:
-            fn()
+            check()
         except AssertionError as exc:
             failures += 1
             print(f"selftest {name}: FAIL ({exc})")

@@ -12,7 +12,7 @@ and randomized finite-field rank evidence.
 
 from __future__ import annotations
 
-import enum
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,57 +34,6 @@ from .polyring import (
 from .space import MultiDegree, ProductSpace, dimension_blocks
 
 WitnessFamily = tuple[str, tuple[WitnessSymbol, ...]]
-
-
-@dataclass(frozen=True)
-class SegreIndexer:
-    """Mixed-radix bijection between linear indices and coordinate tuples.
-
-    Radix i is n_i + 1; the first factor is most significant, so the last
-    factor's coordinate index varies fastest as the linear index grows.
-    """
-
-    radices: tuple[int, ...]
-
-    def __init__(self, radices: Sequence[int]):
-        rads = tuple(int(r) for r in radices)
-        if not rads or any(r < 2 for r in rads):
-            raise ValueError(f"radices must all be >= 2, got {rads}")
-        object.__setattr__(self, "radices", rads)
-
-    @property
-    def total(self) -> int:
-        out = 1
-        for r in self.radices:
-            out *= r
-        return out
-
-    @property
-    def nu(self) -> int:
-        total = self.total
-        if total % 2:
-            raise ValueError(f"total {total} is odd, no x/y split exists")
-        return total // 2 - 1
-
-    def tuple_of(self, t: int) -> tuple[int, ...]:
-        if not 0 <= t < self.total:
-            raise ValueError(f"index {t} out of range 0..{self.total - 1}")
-        digits = []
-        for r in reversed(self.radices):
-            t, d = divmod(t, r)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def index_of(self, tup: Sequence[int]) -> int:
-        tup = tuple(tup)
-        if len(tup) != len(self.radices):
-            raise ValueError("tuple length mismatch")
-        t = 0
-        for d, r in zip(tup, self.radices):
-            if not 0 <= d < r:
-                raise ValueError(f"digit {d} out of range for radix {r}")
-            t = t * r + d
-        return t
 
 
 def nu(copies: Sequence[int]) -> int:
@@ -115,40 +64,15 @@ def copies_to_factors(copies: Sequence[int]) -> tuple[int, ...]:
     return tuple(dims)
 
 
-class FloystadResult(enum.Enum):
-    """Which of the two rank-existence conditions a term-shape satisfies."""
-
-    FAILS = "fails"
-    COND1 = "cond1"
-    COND2 = "cond2"
-    BOTH = "both"
-
-    @property
-    def has_cond1(self) -> bool:
-        return self in (FloystadResult.COND1, FloystadResult.BOTH)
-
-    @property
-    def has_cond2(self) -> bool:
-        return self in (FloystadResult.COND2, FloystadResult.BOTH)
-
-
-def floystad_check(a: int, b: int, c: int, n: int) -> FloystadResult:
-    """Existence conditions for a linear monad with term ranks (a, b, c).
+def floystad_check(a: int, b: int, c: int, n: int) -> tuple[bool, bool]:
+    """Existence conditions (cond1, cond2) for a linear monad with term ranks (a, b, c).
 
     Condition 1: b >= a + c and b >= 2c + n - 1.
     Condition 2: b >= a + c + n.
     """
     if min(a, b, c) < 0 or n < 1:
         raise ValueError("ranks must be >= 0 and the dimension >= 1")
-    cond1 = b >= a + c and b >= 2 * c + n - 1
-    cond2 = b >= a + c + n
-    if cond1 and cond2:
-        return FloystadResult.BOTH
-    if cond1:
-        return FloystadResult.COND1
-    if cond2:
-        return FloystadResult.COND2
-    return FloystadResult.FAILS
+    return b >= a + c and b >= 2 * c + n - 1, b >= a + c + n
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +160,13 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
     space = ProductSpace(factors, groups=dimension_blocks(factors))
     l = len(factors)
     ring = CoordinateRing(factors)
-    indexer = SegreIndexer([n + 1 for n in factors])
-    v = indexer.nu
+    # mixed-radix order: the first factor most significant, the last fastest
+    coords = list(itertools.product(*(range(n + 1) for n in factors)))
+    v = len(coords) // 2 - 1
     width = v + k  # columns per ladder block
     rank_m = 2 * v + 2 * k
 
-    segre = [
-        SparsePoly(ring, {ring.unit_monomial(enumerate(indexer.tuple_of(t))): 1})
-        for t in range(2 * v + 2)
-    ]
+    segre = [SparsePoly(ring, {ring.unit_monomial(enumerate(c)): 1}) for c in coords]
     x = segre[: v + 1]
     y = segre[v + 1 :]
     zero = ring.zero()

@@ -1,0 +1,240 @@
+"""Reference implementations, and the suites that check the program against them.
+
+Each oracle computes by enumeration or by a different route from the code it
+checks, and shares no code with it: monomials are counted one by one, copy
+vectors and twists are listed exhaustively, intersection numbers expand the
+truncated polynomial ring.  `selftest` runs SUITES; the tests call the same
+oracles and check functions with their own seeds and ranges.  A check
+function raises AssertionError on the first disagreement.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+from functools import partial
+from typing import Iterator, Sequence
+
+from .certify import TwistMode, vanishing_all_twists
+from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
+from .monad import build_section3, build_section4, nu, verify_monad
+from .space import MultiDegree, ProductSpace
+
+
+def count_monomials(nvars: int, d: int) -> int:
+    """Number of degree-d monomials in nvars variables, listed one by one."""
+    if d < 0:
+        return 0
+    return sum(1 for _ in itertools.combinations_with_replacement(range(nvars), d))
+
+
+def copy_vectors(limit: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every copy vector (last entry positive) with prod (2i+2)^{c_i} <= limit.
+
+    Entry i counts factors P^{2i+1}, so the product is prod (n+1) over the
+    factors.  With max_len, only vectors of at most max_len entries.
+    """
+    stack = [((), 1)]
+    while stack:
+        prefix, product = stack.pop()
+        if prefix:
+            yield prefix
+        pos = len(prefix)
+        while max_len is None or pos < max_len:
+            radix = 2 * pos + 2
+            ext = product * radix
+            if ext > limit:
+                break
+            vec = prefix + (0,) * (pos - len(prefix)) + (1,)
+            while ext <= limit:
+                stack.append((vec, ext))
+                vec = vec[:-1] + (vec[-1] + 1,)
+                ext *= radix
+            pos += 1
+
+
+def intersection_number(X: ProductSpace, classes: Sequence[Sequence[int]]) -> int:
+    """Intersection number of dim(X) divisor classes.
+
+    Expands the product of the linear forms sum_i c_i h_i in the ring
+    Z[h_1..h_l] / (h_i^{n_i+1}) and returns the coefficient of the point class
+    prod h_i^{n_i}.  The reference for the closed form space.degree.
+    """
+    if len(classes) != X.dim:
+        raise ValueError(f"need exactly {X.dim} classes, got {len(classes)}")
+    classes = [X.check_degree(c) for c in classes]
+    l = X.picard_rank
+    poly: dict[MultiDegree, int] = {(0,) * l: 1}
+    for cls in classes:
+        nxt: dict[MultiDegree, int] = {}
+        for expo, coeff in poly.items():
+            for i, ci in enumerate(cls):
+                if ci == 0:
+                    continue
+                e = expo[i] + 1
+                if e > X.factors[i]:
+                    continue  # h_i^{n_i+1} = 0
+                key = expo[:i] + (e,) + expo[i + 1 :]
+                nxt[key] = nxt.get(key, 0) + coeff * ci
+        poly = {k: v for k, v in nxt.items() if v}
+    return poly.get(tuple(X.factors), 0)
+
+
+def vanishing_by_enumeration(
+    x: ProductSpace,
+    middle: LineBundleSum,
+    q: int,
+    constraint: TwistMode,
+    box: int = 5,
+) -> tuple[bool, MultiDegree | None]:
+    """Brute-force oracle: try every twist in [-box, box]^l against every q-subset.
+
+    Exhaustive over the full family only when box covers all candidate
+    twists -t_S (true for small summand degrees); used for cross-checks.
+    Capped at middle rank 16 to keep subset enumeration honest but bounded.
+    """
+    if middle.rank > 16:
+        raise ValueError("enumeration oracle capped at middle rank 16")
+    if not 1 <= q <= middle.rank - 1:
+        raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
+    l = x.picard_rank
+    degs = middle.degrees()
+    sums = set()
+    for subset in itertools.combinations(range(len(degs)), q):
+        t_s = tuple(sum(degs[i][j] for i in subset) for j in range(l))
+        sums.add(t_s)
+    for b in itertools.product(range(-box, box + 1), repeat=l):
+        if constraint is TwistMode.TOTAL_NEGATIVE:
+            if sum(b) >= 0:
+                continue
+        else:
+            if any(s >= 0 for _, s in x.group_sums(b)):
+                continue
+        for t_s in sorted(sums):
+            if all(bb + tt >= 0 for bb, tt in zip(b, t_s)):
+                return False, b
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# check functions
+
+def check_bott(n_max: int, d_max: int) -> None:
+    """h_pn against monomial counts on P^n, n <= n_max, |d| <= d_max, every i <= n+1."""
+    for n in range(1, n_max + 1):
+        for d in range(-d_max, d_max + 1):
+            for i in range(0, n + 2):
+                if i == 0:
+                    want = count_monomials(n + 1, d)
+                elif i == n:
+                    want = count_monomials(n + 1, -d - n - 1)
+                else:
+                    want = 0
+                got = h_pn(n, d, i)
+                assert got == want, f"h_pn({n},{d},{i}) = {got}, counted {want}"
+
+
+def check_serre_kunneth(
+    seed: int, draws: int, n_max: int, d_max: int, factor_max: int, deg_max: int
+) -> None:
+    """Serre duality on P^n, then the Kunneth total law on up to three factors."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n = rng.randint(1, n_max)
+        d = rng.randint(-d_max, d_max)
+        i = rng.randint(0, n)
+        assert h_pn(n, d, i) == h_pn(n, -d - n - 1, n - i), f"serre fails at {n} {d} {i}"
+    for _ in range(draws):
+        factors = tuple(rng.randint(1, factor_max) for _ in range(rng.randint(1, 3)))
+        space = ProductSpace(factors)
+        deg = tuple(rng.randint(-deg_max, deg_max) for _ in factors)
+        total = sum(h_line(space, deg, p) for p in range(space.dim + 1))
+        prod = 1
+        for n, d in zip(factors, deg):
+            prod *= sum(h_pn(n, d, q) for q in range(n + 1))
+        assert total == prod, f"kunneth total law fails at {factors} {deg}"
+
+
+def check_exterior_rank(seed: int, draws: int, deg_max: int) -> None:
+    """rank Lambda^q G = C(rank G, q) for random sums G and every q <= rank + 1."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        l = rng.randint(1, 3)
+        summands = [
+            (tuple(rng.randint(-deg_max, deg_max) for _ in range(l)), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        g = LineBundleSum(summands)
+        for q in range(0, g.rank + 2):
+            assert exterior_power(g, q).rank == math.comb(g.rank, q), f"{summands} q={q}"
+
+
+def check_vanishing(seed: int, draws: int) -> None:
+    """The vanishing DP against box enumeration, and every failing witness sound.
+
+    Summand degrees stay in {-1, 0, 1} so that the default box holds every
+    candidate twist and the enumeration is exhaustive.
+    """
+    rng = random.Random(seed)
+    for _ in range(draws):
+        l = rng.randint(1, 3)
+        space = ProductSpace(tuple(rng.randint(1, 3) for _ in range(l)))
+        summands = [
+            (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        ]
+        middle = LineBundleSum(summands)
+        if middle.rank < 2:
+            continue
+        q = rng.randint(1, middle.rank - 1)
+        mode = rng.choice((TwistMode.PER_GROUP_NEGATIVE, TwistMode.TOTAL_NEGATIVE))
+        fast = vanishing_all_twists(space, middle, q, mode)
+        slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
+        assert fast.passed == slow_pass, f"disagreement at {summands} q={q} {mode}"
+        if not fast.passed:
+            # the witness twist lies in the family and gives a global section
+            b = fast.witness_twist
+            if mode is TwistMode.TOTAL_NEGATIVE:
+                in_family = sum(b) < 0
+            else:
+                in_family = all(s < 0 for _, s in space.group_sums(b))
+            lam = exterior_power(middle, q).twist(b)
+            assert in_family and h_sum(space, lam, 0) >= 1, (
+                f"unsound witness {b} at {summands} q={q} {mode}"
+            )
+
+
+def check_nu(limit: int) -> None:
+    """nu against the half-product form in exact rationals, on every copy vector <= limit."""
+    seen = 0
+    for copies in copy_vectors(limit):
+        half = Fraction(1, 2)
+        for i, c in enumerate(copies):
+            half *= Fraction(2 * i + 2) ** c
+        assert nu(copies) == half - 1, f"nu({copies})"
+        seen += 1
+    assert seen > 10
+
+
+def check_monads() -> None:
+    """The smallest instance of each built family verifies as a monad."""
+    assert verify_monad(build_section3(ProductSpace((1, 1)), 1)).valid
+    assert verify_monad(build_section4(1, 1, 1, 1, 1, 1, 1)).valid
+
+
+SUITES = (
+    ("bott-vs-monomial-count", partial(check_bott, n_max=3, d_max=8)),
+    (
+        "serre-kunneth",
+        partial(
+            check_serre_kunneth,
+            seed=15485863, draws=200, n_max=4, d_max=12, factor_max=3, deg_max=6,
+        ),
+    ),
+    ("exterior-rank", partial(check_exterior_rank, seed=32452843, draws=60, deg_max=2)),
+    ("vanishing-dp-vs-enumeration", partial(check_vanishing, seed=49979687, draws=30)),
+    ("nu-half-product", partial(check_nu, limit=512)),
+    ("monad-validity", check_monads),
+)

@@ -1,9 +1,9 @@
-"""Products of projective spaces: Picard lattice, intersection numbers, degrees, slopes.
+"""Products of projective spaces: Picard lattice, degrees, slopes.
 
 The ambient variety is X = P^{n_1} x ... x P^{n_l}.  Divisor classes and line
 bundle labels are integer vectors of length l ("multidegrees"), one entry per
-factor.  All arithmetic is exact: big integers for intersection numbers and
-degrees, fractions for slopes.  Nothing here ever touches a float.
+factor.  All arithmetic is exact: big integers for degrees, fractions for
+slopes.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -113,38 +113,11 @@ def check_polarization(X: ProductSpace, L: Sequence[int]) -> MultiDegree:
     return L
 
 
-def intersection_number(X: ProductSpace, classes: Sequence[Sequence[int]]) -> int:
-    """Intersection number of dim(X) divisor classes.
-
-    Expands the product of the linear forms sum_i c_i h_i in the ring
-    Z[h_1..h_l] / (h_i^{n_i+1}) and returns the coefficient of the point class
-    prod h_i^{n_i}.
-    """
-    if len(classes) != X.dim:
-        raise ValueError(f"need exactly {X.dim} classes, got {len(classes)}")
-    classes = [X.check_degree(c) for c in classes]
-    l = X.picard_rank
-    poly: dict[MultiDegree, int] = {(0,) * l: 1}
-    for cls in classes:
-        nxt: dict[MultiDegree, int] = {}
-        for expo, coeff in poly.items():
-            for i, ci in enumerate(cls):
-                if ci == 0:
-                    continue
-                e = expo[i] + 1
-                if e > X.factors[i]:
-                    continue  # h_i^{n_i+1} = 0
-                key = expo[:i] + (e,) + expo[i + 1 :]
-                nxt[key] = nxt.get(key, 0) + coeff * ci
-        poly = {k: v for k, v in nxt.items() if v}
-    return poly.get(tuple(X.factors), 0)
-
-
 def degree(X: ProductSpace, L: Sequence[int], c1: Sequence[int]) -> int:
     """Degree of a class with respect to a polarization: c1 . L^(dim-1).
 
-    Closed form of intersection_number(X, [c1] + [L] * (dim - 1)): only
-    h_i * prod_j h_j^(n_j - delta_ij) reaches the point class, so
+    Closed form of oracles.intersection_number(X, [c1] + [L] * (dim - 1)):
+    only h_i * prod_j h_j^(n_j - delta_ij) reaches the point class, so
     deg = sum_i c1_i * multinomial(dim - 1; n - e_i) * prod_j L_j^(n_j - delta_ij).
     """
     L = check_polarization(X, L)

@@ -1,9 +1,10 @@
 """Stability and simplicity certificates.
 
-The vanishing decision is cross-checked against vanishing_by_enumeration,
-which tries every twist in a box against every explicit subset.  Summand
-degrees stay in {-1, 0, 1} and q <= 5 so the witness -t_S always lands
-inside the box and the oracle is exhaustive, not just a sample.
+The vanishing decision is cross-checked against
+oracles.vanishing_by_enumeration, which tries every twist in a box against
+every explicit subset.  Summand degrees stay in {-1, 0, 1} and q <= 5 so
+the witness -t_S always lands inside the box and the oracle is exhaustive,
+not just a sample.
 """
 
 import math
@@ -18,10 +19,10 @@ from monadcert.certify import (
     simplicity_certificate,
     stability_certificate,
     vanishing_all_twists,
-    vanishing_by_enumeration,
 )
 from monadcert.cohomology import LineBundleSum, exterior_power, h_sum
 from monadcert.monad import build_section3, build_section4, custom_monad
+from monadcert.oracles import vanishing_by_enumeration
 from monadcert.space import ProductSpace
 
 
@@ -57,19 +58,19 @@ def test_twist_modes():
 def test_vanishing_micro_cases():
     x = ProductSpace((1, 1))
     neutral = LineBundleSum([((0, 0), 3)])
-    res = vanishing_all_twists(x, neutral, 1, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+    res = vanishing_all_twists(x, neutral, 1, TwistMode.PER_GROUP_NEGATIVE)
     assert res.passed
 
     spiked = LineBundleSum([((1, 1), 1), ((0, 0), 2)])
-    res = vanishing_all_twists(x, spiked, 1, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+    res = vanishing_all_twists(x, spiked, 1, TwistMode.PER_GROUP_NEGATIVE)
     assert not res.passed
     assert res.witness_twist == (-1, -1)
     assert res.witness_profile == (1, 1)
 
     # total mode admits lopsided twists that the per-group family forbids
     tilted = LineBundleSum([((2, -1), 1), ((0, 0), 2)])
-    per_group = vanishing_all_twists(x, tilted, 1, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
-    total = vanishing_all_twists(x, tilted, 1, (1, 1), TwistMode.TOTAL_NEGATIVE)
+    per_group = vanishing_all_twists(x, tilted, 1, TwistMode.PER_GROUP_NEGATIVE)
+    total = vanishing_all_twists(x, tilted, 1, TwistMode.TOTAL_NEGATIVE)
     assert per_group.passed
     assert not total.passed
 
@@ -78,7 +79,7 @@ def test_vanishing_witness_has_a_section():
     # any reported witness must produce an actual global section
     x = ProductSpace((1, 1))
     spiked = LineBundleSum([((1, 1), 1), ((0, 0), 2)])
-    res = vanishing_all_twists(x, spiked, 1, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+    res = vanishing_all_twists(x, spiked, 1, TwistMode.PER_GROUP_NEGATIVE)
     lam = exterior_power(spiked, res.q).twist(res.witness_twist)
     assert h_sum(x, lam, 0) >= 1
 
@@ -87,7 +88,7 @@ def test_vanishing_profile_counts():
     # the subset-sum profiles are the summands of the exterior power
     x = ProductSpace((1, 3))
     middle = LineBundleSum([((0, 0), 8)])
-    res = vanishing_all_twists(x, middle, 3, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+    res = vanishing_all_twists(x, middle, 3, TwistMode.PER_GROUP_NEGATIVE)
     assert res.passed
     profiles = exterior_power(middle, 3).summands
     assert sum(count for _, count in profiles) == math.comb(8, 3)
@@ -98,12 +99,12 @@ def test_vanishing_input_validation():
     x = ProductSpace((1, 1))
     g = LineBundleSum([((0, 0), 3)])
     with pytest.raises(ValueError):
-        vanishing_all_twists(x, g, 0, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+        vanishing_all_twists(x, g, 0, TwistMode.PER_GROUP_NEGATIVE)
     with pytest.raises(ValueError):
-        vanishing_all_twists(x, g, 3, (1, 1), TwistMode.PER_GROUP_NEGATIVE)
+        vanishing_all_twists(x, g, 3, TwistMode.PER_GROUP_NEGATIVE)
     with pytest.raises(ValueError):
         vanishing_all_twists(
-            x, LineBundleSum([((0, 0, 0), 3)]), 1, (1, 1), TwistMode.PER_GROUP_NEGATIVE
+            x, LineBundleSum([((0, 0, 0), 3)]), 1, TwistMode.PER_GROUP_NEGATIVE
         )
     big = LineBundleSum([((0, 0), 17)])
     with pytest.raises(ValueError):
@@ -153,7 +154,7 @@ def test_vanishing_matches_enumeration():
             continue
         for mode in TwistMode:
             for q in range(1, min(middle.rank - 1, 5) + 1):
-                fast = vanishing_all_twists(x, middle, q, (1,) * l, mode)
+                fast = vanishing_all_twists(x, middle, q, mode)
                 slow_ok, slow_witness = vanishing_by_enumeration(x, middle, q, mode)
                 assert fast.passed == slow_ok, (x.groups, middle.summands, q, mode)
                 if fast.passed:
@@ -195,7 +196,7 @@ def test_stability_certificate_matches_per_q_decision():
             if cert.verdict == "unsupported":
                 continue
             per_q = tuple(
-                vanishing_all_twists(x, spec.term_m, q, (1,) * l, mode)
+                vanishing_all_twists(x, spec.term_m, q, mode)
                 for q in range(1, cert.rank_t)
             )
             assert cert.per_q == per_q

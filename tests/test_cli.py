@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, document layout, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monadcert.cli import main
 
@@ -247,6 +252,116 @@ def test_spec_file_with_malformed_monomials(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "is not 2 nonnegative integers" in err
+
+
+SPEC_COMMANDS = ("build", "verify", "certify-stability", "certify-simplicity")
+TERMS = COUNTEREXAMPLE["terms"]
+G_BLOCK = {
+    "entries": [[[[1, [1, 0, 1, 0]]], [], [], []]],
+    "row_labels": [[1, 1]],
+    "col_labels": [[-2, -2], [-2, -2], [0, 0], [1, 1]],
+}
+MALFORMED_KEYS = (
+    ("name", 5),
+    ("name", "!!"),
+    ("factors", [1.5, 1]),
+    ("factors", [True, 1]),
+    ("factors", "11"),
+    ("factors", [0, 1]),
+    ("factors", [1]),
+    ("terms", dict(TERMS, a=[[[-1, -1], 1.5]])),
+    ("terms", dict(TERMS, a=[[[-1], 1]])),
+    ("terms", dict(TERMS, m=[[[1, 1], 0]])),
+    ("terms", dict(TERMS, c=5)),
+    ("polarization", 5),
+    ("polarization", [0, 1]),
+    ("polarization", ["a", 1]),
+    ("polarization", [1]),
+    ("polarization", []),
+    ("groups", [[5, [0, 1]]]),
+    ("groups", [["a", [0.0, 1]]]),
+    ("groups", [["a", [0]]]),
+    ("letters", ["a"]),
+    ("constraint", "bogus"),
+    ("constraint", 5),
+    ("maps", []),
+    ("maps", {"f": 5}),
+    ("maps", {"g": {}}),
+    ("maps", {"g": dict(G_BLOCK, entries=[[[[1.5, [1, 0, 1, 0]]], [], [], []]])}),
+    ("maps", {"g": dict(G_BLOCK, row_labels=[[1.5, 1]])}),
+    ("maps", {"g": dict(G_BLOCK, entries=[[[[1, [1, 0, 1, 0]], [2, [1, 0, 1, 0]]], [], [], []]])}),
+)
+
+
+def assert_refused(command, key, value):
+    # exit 2, one line on stderr, no document written
+    with tempfile.TemporaryDirectory() as out:
+        spec = Path(out) / "spec.json"
+        spec.write_text(json.dumps(dict(COUNTEREXAMPLE, **{key: value})))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(command, "--family", "custom", "--spec-file", str(spec),
+                       "--out-dir", out)
+        assert code == 2, (command, key, value)
+        assert err.getvalue().startswith(f"error: {spec}: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        assert list(Path(out).iterdir()) == [spec]
+
+
+def test_spec_file_with_malformed_keys():
+    # the unmutated spec is accepted; each single-key mutation is refused
+    with tempfile.TemporaryDirectory() as out:
+        spec = Path(out) / "spec.json"
+        spec.write_text(json.dumps(dict(COUNTEREXAMPLE, maps={"g": G_BLOCK})))
+        assert run("build", "--family", "custom", "--spec-file", str(spec),
+                   "--out-dir", out) == 0
+    for command in SPEC_COMMANDS:
+        for key, value in MALFORMED_KEYS:
+            assert_refused(command, key, value)
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=4),
+)
+_NON_INTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.text())
+# for each key, JSON values of a kind the key never accepts
+_WRONG = {
+    "name": st.one_of(
+        st.integers(), st.booleans(), st.lists(st.integers(), max_size=2),
+        st.text(alphabet="-_ .!", max_size=4),
+    ),
+    "factors": st.one_of(_SCALARS, st.lists(_NON_INTS, min_size=1, max_size=2)),
+    "polarization": st.one_of(
+        _SCALARS,
+        st.lists(_NON_INTS, min_size=1, max_size=2),
+        st.lists(st.integers(-3, 3), max_size=3).filter(
+            lambda v: len(v) != 2 or min(v) < 1
+        ),
+    ),
+    "groups": st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=2)),
+    "letters": st.one_of(_SCALARS, st.lists(st.integers(), min_size=1, max_size=2)),
+    "terms": st.one_of(_SCALARS, st.lists(st.integers(), max_size=2)),
+    "maps": st.one_of(_SCALARS, st.lists(st.integers(), max_size=2)),
+    "constraint": st.one_of(
+        st.integers(),
+        st.text(max_size=20).filter(lambda v: v not in ("per-group-negative", "total-negative")),
+        st.lists(st.text(max_size=3), max_size=2),
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(SPEC_COMMANDS),
+    mutation=st.sampled_from(sorted(_WRONG)).flatmap(
+        lambda key: _WRONG[key].map(lambda value: (key, value))
+    ),
+)
+def test_spec_file_with_wrong_typed_keys(command, mutation):
+    assert_refused(command, *mutation)
 
 
 def test_recheck_document_missing_instance_keys(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Intersection arithmetic on products of projective spaces.
 
-The main oracle here is brute_intersection: it expands the product of
-linear divisor classes by distributing one Picard generator to every
-class and summing over all distinct distributions.  Slow but obviously
-correct, and independent of the truncated-ring implementation.
+The closed-form degree is checked against oracles.intersection_number,
+which is in turn checked against brute_intersection: it expands the
+product of linear divisor classes by distributing one Picard generator to
+every class and summing over all distinct distributions.  Slow but
+obviously correct, and independent of the truncated-ring expansion.
 """
 
 import itertools
@@ -12,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
+from monadcert.oracles import intersection_number
 from monadcert.space import (
     ProductSpace,
     check_polarization,
     degree,
     dimension_blocks,
-    intersection_number,
     normalize,
     slope,
     vadd,
