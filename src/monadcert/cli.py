@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import os
 import re
@@ -30,6 +31,7 @@ from .monad import (
     custom_monad,
     display_summary,
     verify_monad,
+    zero_map,
 )
 from .certify import TwistMode, simplicity_certificate, stability_certificate
 from .polyring import DEFAULT_PRIME, DEFAULT_TRIALS, CoordinateRing, MonadMatrix, SparsePoly
@@ -43,33 +45,60 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 # serialization
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, LineBundleSum):
-        return [[list(deg), mult] for deg, mult in obj.summands]
-    if isinstance(obj, SparsePoly):
-        return [[coeff, list(mono)] for mono, coeff in sorted(obj.terms.items())]
-    if isinstance(obj, MonadMatrix):
-        return {
+    """JSON data for a result: plain scalars as they are, the rest by exact type.
+
+    Containers test each item's type inline, so that a scalar costs no call.
+    """
+    cls = type(obj)
+    return obj if cls in _PLAIN else _encoder(cls)(obj)
+
+
+@functools.cache
+def _encoder(cls: type):
+    """The encoder for instances of `cls`: the first rule that matches wins.
+
+    The order matters: LineBundleSum is a dataclass, so its own rule must
+    come before the generic dataclass one.  Held for the life of the
+    process, one entry per type met.
+    """
+    if issubclass(cls, Fraction):
+        return lambda obj: f"{obj.numerator}/{obj.denominator}"
+    if issubclass(cls, enum.Enum):
+        return lambda obj: obj.value
+    if issubclass(cls, LineBundleSum):
+        return lambda obj: [[list(deg), mult] for deg, mult in obj.summands]
+    if issubclass(cls, SparsePoly):
+        return lambda obj: [[coeff, list(mono)] for mono, coeff in sorted(obj.terms.items())]
+    if issubclass(cls, MonadMatrix):
+        return lambda obj: {
             "row_labels": [list(lab) for lab in obj.row_labels],
             "col_labels": [list(lab) for lab in obj.col_labels],
             "entries": [[to_jsonable(e) for e in row] for row in obj.entries],
         }
-    if isinstance(obj, CoordinateRing):
-        return {"factors": list(obj.factors), "letters": list(obj.letters)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
+    if issubclass(cls, CoordinateRing):
+        return lambda obj: {"factors": list(obj.factors), "letters": list(obj.letters)}
+    if dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+
+        def fields(obj):
+            out = {}
+            for name in names:
+                value = getattr(obj, name)
+                out[name] = value if type(value) in _PLAIN else to_jsonable(value)
+            return out
+
+        return fields
+    if issubclass(cls, dict):
+        return lambda obj: {
+            str(k): v if type(v) in _PLAIN else to_jsonable(v) for k, v in obj.items()
         }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [v if type(v) in _PLAIN else to_jsonable(v) for v in obj]
+    return lambda obj: obj
 
 
 def json_bytes(doc: dict) -> bytes:
@@ -144,6 +173,8 @@ _KEY_TYPES = {
     "prime": (_is_int, "an integer"),
     "trials": (_is_int, "an integer"),
     "seed": (_is_int, "an integer"),
+    "dims": (_is_int_list, "a list of integers"),
+    **{key: (_is_int, "an integer") for key in ("k", "n", "m", "l", "alpha", "beta", "gamma")},
 }
 _SPEC_KEYS = ("name", "factors", "groups", "terms", "letters", "maps", "polarization", "constraint")
 _REQUIRED_SPEC_KEYS = ("name", "factors", "terms")
@@ -198,11 +229,16 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
                 raise ValueError(f"{key!r} must be {expected}")
         factors = block["factors"]
         space = ProductSpace(factors, groups=block.get("groups"))
-        terms = [_sum_from_block(block["terms"].get(t, []), len(factors), t) for t in "amc"]
+        term_a, term_m, term_c = (
+            _sum_from_block(block["terms"].get(t, []), len(factors), t) for t in "amc"
+        )
         ring = CoordinateRing(factors, letters=block.get("letters"))
         maps = block.get("maps") or {}
+        # a missing map is zero over the spec's own ring, so its letters are kept
         map_f, map_g = (
-            None if maps.get(m) is None else _matrix_from_block(ring, maps[m]) for m in "fg"
+            zero_map(ring, target, source) if maps.get(m) is None
+            else _matrix_from_block(ring, maps[m])
+            for m, target, source in (("f", term_m, term_a), ("g", term_c, term_m))
         )
         polarization = block.get("polarization")
         if polarization is not None:
@@ -210,7 +246,9 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
         return custom_monad(
             block["name"],
             space,
-            *terms,
+            term_a,
+            term_m,
+            term_c,
             map_f=map_f,
             map_g=map_g,
             polarization=polarization,
@@ -243,22 +281,37 @@ def _custom_block_from_spec(spec: MonadSpec, embed_maps: bool) -> dict:
     return block
 
 
+def _instance_values(inst: dict, *keys: str) -> list:
+    missing = [key for key in keys if key not in inst]
+    if missing:
+        raise SpecError(f"instance block has no {missing[0]!r}")
+    for key in keys:
+        check, expected = _KEY_TYPES[key]
+        if not check(inst[key]):
+            raise SpecError(f"instance {key!r} must be {expected}, got {inst[key]!r}")
+    return [inst[key] for key in keys]
+
+
+_FAMILY_KEYS = {
+    "section3": ("dims", "k"),
+    "section4": ("n", "m", "l", "alpha", "beta", "gamma", "k"),
+}
+
+
 def _spec_from_instance(inst: dict) -> MonadSpec:
     family = inst.get("family")
-    try:
-        if family == "section3":
-            return build_section3(ProductSpace(inst["dims"]), int(inst["k"]))
-        if family == "section4":
-            return build_section4(
-                int(inst["n"]), int(inst["m"]), int(inst["l"]),
-                int(inst["alpha"]), int(inst["beta"]), int(inst["gamma"]),
-                int(inst["k"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad {family} parameters: {exc}") from exc
     if family == "custom":
         return _custom_from_block(inst)
-    raise SpecError(f"unknown family {family!r}")
+    if family not in _FAMILY_KEYS:
+        raise SpecError(f"unknown family {family!r}")
+    values = _instance_values(inst, *_FAMILY_KEYS[family])
+    try:
+        if family == "section3":
+            dims, k = values
+            return build_section3(ProductSpace(dims), k)
+        return build_section4(*values)
+    except ValueError as exc:
+        raise SpecError(f"bad {family} parameters: {exc}") from exc
 
 
 def _instance_from_args(args) -> tuple[dict, MonadSpec]:
@@ -319,17 +372,6 @@ def _build_result(spec: MonadSpec):
         },
         "notes": list(spec.notes),
     }
-
-
-def _instance_values(inst: dict, *keys: str) -> list:
-    missing = [key for key in keys if key not in inst]
-    if missing:
-        raise SpecError(f"instance block has no {missing[0]!r}")
-    for key in keys:
-        check, expected = _KEY_TYPES[key]
-        if not check(inst[key]):
-            raise SpecError(f"instance {key!r} must be {expected}, got {inst[key]!r}")
-    return [inst[key] for key in keys]
 
 
 def _verify_result(spec: MonadSpec, inst: dict):
@@ -582,7 +624,10 @@ def _add_certify_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was, so
+    # every main() call in one process shares it
     parser = argparse.ArgumentParser(
         prog="monadcert",
         description="Build, verify, and certify line-bundle monads on products of projective spaces.",

@@ -315,6 +315,14 @@ def build_section4(
     )
 
 
+def zero_map(ring: CoordinateRing, target: LineBundleSum, source: LineBundleSum) -> MonadMatrix:
+    """The zero map source -> target over `ring`, labelled with the terms' degrees."""
+    zero = ring.zero()
+    return MonadMatrix(
+        ring, [[zero] * source.rank for _ in range(target.rank)], target.degrees(), source.degrees()
+    )
+
+
 def custom_monad(
     name: str,
     space: ProductSpace,
@@ -339,21 +347,10 @@ def custom_monad(
     ring = map_f.ring if map_f is not None else (
         map_g.ring if map_g is not None else CoordinateRing(space.factors)
     )
-    zero = ring.zero()
     if map_f is None:
-        map_f = MonadMatrix(
-            ring,
-            [[zero] * term_a.rank for _ in range(term_m.rank)],
-            term_m.degrees(),
-            term_a.degrees(),
-        )
+        map_f = zero_map(ring, term_m, term_a)
     if map_g is None:
-        map_g = MonadMatrix(
-            ring,
-            [[zero] * term_m.rank for _ in range(term_c.rank)],
-            term_c.degrees(),
-            term_m.degrees(),
-        )
+        map_g = zero_map(ring, term_c, term_m)
     if polarization is None:
         polarization = (1,) * space.picard_rank
     return MonadSpec(

@@ -3,7 +3,8 @@
 Each oracle computes by enumeration or by a different route from the code it
 checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
-truncated polynomial ring.  `selftest` runs SUITES; the tests call the same
+truncated polynomial ring, ranks come from Gauss-Jordan on matrices
+evaluated entry by entry.  `selftest` runs SUITES; the tests call the same
 oracles and check functions with their own seeds and ranges.  A check
 function raises AssertionError on the first disagreement.
 """
@@ -20,6 +21,7 @@ from typing import Iterator, Sequence
 from .certify import TwistMode, vanishing_all_twists
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import build_section3, build_section4, nu, verify_monad
+from .polyring import MonadMatrix, RankEvidence
 from .space import MultiDegree, ProductSpace
 
 
@@ -116,6 +118,68 @@ def vanishing_by_enumeration(
             if all(bb + tt >= 0 for bb, tt in zip(b, t_s)):
                 return False, b
     return True, None
+
+
+def rank_by_gauss_jordan(rows: list[list[int]], p: int) -> int:
+    """Rank mod p by Gauss-Jordan elimination over the rows as given.
+
+    The reference for polyring's forward elimination on the short side.
+    """
+    rows = [r[:] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < nrows and col < ncols:
+        pivot = None
+        for r in range(rank, nrows):
+            if rows[r][col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def rank_evidence_by_entries(m: MonadMatrix, prime: int, trials: int, seed: int) -> RankEvidence:
+    """`rank_at_random_points` recomputed entry by entry.
+
+    Draws the points by the same rule (per factor, a coordinate tuple with
+    the all-zero tuple redrawn), evaluates every entry with
+    SparsePoly.eval_mod in the stored orientation and ranks it by
+    Gauss-Jordan.
+    """
+    rng = random.Random(seed)
+    ranks, points = [], []
+    for _ in range(trials):
+        point = []
+        for n in m.ring.factors:
+            coords = (0,)
+            while not any(coords):
+                coords = tuple(rng.randrange(prime) for _ in range(n + 1))
+            point.append(coords)
+        flat = [x for coords in point for x in coords]
+        rows = [[e.eval_mod(flat, prime) for e in row] for row in m.entries]
+        ranks.append(rank_by_gauss_jordan(rows, prime))
+        points.append(tuple(point))
+    return RankEvidence(
+        max_rank_seen=max(ranks),
+        trials=trials,
+        prime=prime,
+        seed=seed,
+        ranks=tuple(ranks),
+        points=tuple(points),
+    )
 
 
 # ---------------------------------------------------------------------------

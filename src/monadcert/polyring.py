@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .space import MultiDegree
@@ -138,6 +139,14 @@ def _eval_monomial(mono: Monomial, point: Sequence[int], p: int) -> int:
     return v
 
 
+def _add_products(terms: dict[Monomial, int], f: Mapping[Monomial, int], g: Mapping[Monomial, int]) -> None:
+    """Add every term product of f and g into `terms`, in place."""
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+
+
 def _power_bases(mono: Monomial) -> tuple[Monomial, ...]:
     """Every base b with mono == b^e for some e >= 1.
 
@@ -195,10 +204,7 @@ class SparsePoly:
             return SparsePoly(self.ring, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
+        _add_products(terms, self.terms, other.terms)
         return SparsePoly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -273,13 +279,15 @@ class MonadMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows / label count mismatch")
             for e in row:
-                if e.ring != ring:
+                if e.ring is not ring and e.ring != ring:
                     raise ValueError("entry from a different ring")
         l = len(ring.factors)
         for lab in self.row_labels + self.col_labels:
             if len(lab) != l:
                 raise ValueError(f"label {lab} has wrong length, expected {l}")
         self._powers = None
+        self._plan = None
+        self._family = None
 
     @property
     def nrows(self) -> int:
@@ -296,24 +304,23 @@ class MonadMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def degree_mismatches(self) -> tuple[tuple[int, int, MultiDegree, MultiDegree], ...]:
-        """Nonzero entries whose multidegree differs from row - col label.
+        """Nonzero entries with a monomial whose multidegree is not row - col label.
 
-        Inhomogeneous entries are reported with their monomials' degree set
-        collapsed to the first offender.
+        Each is reported with the multidegree of its first such monomial, so
+        an inhomogeneous entry is reported whatever the order of its terms.
         """
+        degree_of: dict[Monomial, MultiDegree] = {}
         bad = []
-        for r, rl in enumerate(self.row_labels):
-            for c, cl in enumerate(self.col_labels):
-                e = self.entries[r][c]
-                if e.is_zero():
-                    continue
-                expected = tuple(a - b for a, b in zip(rl, cl))
-                try:
-                    found = e.multidegree()
-                except ValueError:
-                    found = self.ring.multidegree(next(iter(e.terms)))
-                if found != expected:
-                    bad.append((r, c, found, expected))
+        for r, (rl, row) in enumerate(zip(self.row_labels, self.entries)):
+            for c, (cl, e) in enumerate(zip(self.col_labels, row)):
+                expected = tuple(map(sub, rl, cl))
+                for mono in e.terms:
+                    found = degree_of.get(mono)
+                    if found is None:
+                        found = degree_of[mono] = self.ring.multidegree(mono)
+                    if found != expected:
+                        bad.append((r, c, found, expected))
+                        break
         return tuple(bad)
 
     @property
@@ -321,20 +328,75 @@ class MonadMatrix:
         return not self.degree_mismatches()
 
     def eval_mod(self, point: Sequence[int], p: int) -> list[list[int]]:
-        """Entries at `point` mod p, each distinct monomial evaluated once."""
-        values: dict[Monomial, int] = {}
+        """Entries at `point` mod p, row by row."""
+        lines = self._eval_lines(point, p)
+        if self._eval_plan()[2]:
+            return [[line[r] for line in lines] for r in range(self.nrows)]
+        return lines
+
+    def _eval_plan(
+        self,
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], bool, tuple[tuple, ...]]:
+        """How to evaluate the matrix at a point, built once per matrix.
+
+        Returns (pairs, steps, transposed, lines).  `pairs` are the distinct
+        (variable, exponent) factors of the entries' monomials.  The distinct
+        monomials share their prefixes in a trie over those factors, taken in
+        variable order: node 0 is the monomial 1, and node i >= 1 is
+        steps[i - 1] = (parent node, pair index), the parent times one
+        factor.  The cells are laid out on the short side: `lines` holds the
+        rows, or the columns when `transposed` (more rows than columns), each
+        as (length, single-term cells (pos, node, coeff), other cells
+        (pos, ((node, coeff), ...))).
+        """
+        if self._plan is None:
+            pairs: dict[tuple[int, int], int] = {}
+            steps: dict[tuple[int, int], int] = {}  # (parent, pair) -> node
+            node_of: dict[Monomial, int] = {}
+
+            def node(mono: Monomial) -> int:
+                if mono not in node_of:
+                    n = 0
+                    for var_exp in enumerate(mono):
+                        if var_exp[1]:
+                            key = (n, pairs.setdefault(var_exp, len(pairs)))
+                            n = steps.setdefault(key, len(steps) + 1)
+                    node_of[mono] = n
+                return node_of[mono]
+
+            transposed = self.nrows > self.ncols
+            grid = zip(*self.entries) if transposed else self.entries
+            length = self.nrows if transposed else self.ncols
+            lines = []
+            for line in grid:
+                singles, others = [], []
+                for pos, e in enumerate(line):
+                    if len(e.terms) == 1:
+                        (mono, coeff), = e.terms.items()
+                        singles.append((pos, node(mono), coeff))
+                    elif e.terms:
+                        others.append(
+                            (pos, tuple((node(mono), coeff) for mono, coeff in e.terms.items()))
+                        )
+                lines.append((length, tuple(singles), tuple(others)))
+            self._plan = tuple(pairs), tuple(steps), transposed, tuple(lines)
+        return self._plan
+
+    def _eval_lines(self, point: Sequence[int], p: int) -> list[list[int]]:
+        """The short-side lines of `_eval_plan` at `point` mod p, each monomial evaluated once."""
+        pairs, steps, _, lines = self._eval_plan()
+        powers = [pow(point[var], e, p) for var, e in pairs]
+        values = [1]
+        for parent, pair in steps:
+            values.append(values[parent] * powers[pair] % p)
         out = []
-        for row in self.entries:
-            vals = []
-            for e in row:
-                total = 0
-                for mono, coeff in e.terms.items():
-                    v = values.get(mono)
-                    if v is None:
-                        v = values[mono] = _eval_monomial(mono, point, p)
-                    total += coeff * v
-                vals.append(total % p)
-            out.append(vals)
+        for length, singles, others in lines:
+            line = [0] * length
+            for pos, i, coeff in singles:
+                line[pos] = coeff * values[i] % p
+            for pos, terms in others:
+                line[pos] = sum(coeff * values[i] for i, coeff in terms) % p
+            out.append(line)
         return out
 
     def _power_index(
@@ -359,6 +421,27 @@ class MonadMatrix:
             self._powers = by_base, bases_at
         return self._powers
 
+    def _family_index(
+        self, family: Sequence["WitnessSymbol"]
+    ) -> tuple[dict[Monomial, int], dict[str, int]]:
+        """First index in `family` of each monomial and of each name.
+
+        The last family asked for is kept on the matrix, so the searches for
+        every symbol of a family share one O(len(family)) setup.  A family
+        that is not a tuple is copied into one, so its later mutation cannot
+        reach the kept maps.
+        """
+        if not isinstance(family, tuple):
+            family = tuple(family)
+        if self._family is None or self._family[0] is not family:
+            first_of_mono: dict[Monomial, int] = {}
+            first_of_name: dict[str, int] = {}
+            for i, s in enumerate(family):
+                first_of_mono.setdefault(s.monomial, i)
+                first_of_name.setdefault(s.name, i)
+            self._family = family, first_of_mono, first_of_name
+        return self._family[1], self._family[2]
+
 
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     """Exact symbolic product; inner dimensions and inner labels must agree."""
@@ -369,19 +452,17 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     if m1.col_labels != m2.row_labels:
         raise ValueError("inner labels mismatch")
     ring = m1.ring
+    cols = [[row[c].terms for row in m2.entries] for c in range(m2.ncols)]
     out = []
-    for r in range(m1.nrows):
-        row = []
-        for c in range(m2.ncols):
-            acc = ring.zero()
-            for t in range(m1.ncols):
-                a = m1.entries[r][t]
-                b = m2.entries[t][c]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(row)
+    for row in m1.entries:
+        out_row = []
+        for col in cols:
+            terms: dict[Monomial, int] = {}
+            for a, b in zip(row, col):
+                if a.terms and b:
+                    _add_products(terms, a.terms, b)
+            out_row.append(SparsePoly(ring, terms))
+        out.append(out_row)
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
 
 
@@ -389,29 +470,27 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
 # randomized rank evidence
 
 def _rank_mod(rows: list[list[int]], p: int) -> int:
-    rows = [r[:] for r in rows]
+    """Rank of a matrix of residues mod p by forward elimination; `rows` is consumed.
+
+    Lay the matrix out with its short side as rows: each pivot clears only
+    the rows below it.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col] % p:
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        inv = pow(top[col], -1, p)
+        for r in range(rank + 1, nrows):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
         rank += 1
-        col += 1
     return rank
 
 
@@ -457,7 +536,7 @@ def rank_at_random_points(
                 raise RuntimeError("degenerate point generation")
             factor_tuples.append(tup)
         flat = [x for tup in factor_tuples for x in tup]
-        ranks.append(_rank_mod(m.eval_mod(flat, prime), prime))
+        ranks.append(_rank_mod(m._eval_lines(flat, prime), prime))
         points.append(tuple(factor_tuples))
     return RankEvidence(
         max_rank_seen=max(ranks),
@@ -518,23 +597,21 @@ def triangular_witness(
     """
     if k < 1 or k > min(m.nrows, m.ncols):
         raise ValueError(f"target rank {k} out of range for {m.nrows}x{m.ncols}")
-    names = [s.name for s in family]
-    try:
-        s_idx = names.index(symbol.name)
-    except ValueError:
-        raise ValueError(f"symbol {symbol.name} not in family {names}") from None
+    first_of_mono, first_of_name = m._family_index(family)
+    s_idx = first_of_name.get(symbol.name)
+    if s_idx is None:
+        names = [s.name for s in family]
+        raise ValueError(f"symbol {symbol.name} not in family {names}")
     by_base, bases_at = m._power_index()
-    earlier: dict[Monomial, int] = {}  # monomial -> its first index in the family
-    for i, s in enumerate(family[:s_idx]):
-        earlier.setdefault(s.monomial, i)
 
     def guard_of(r: int, c: int) -> tuple[bool, str | None]:
         # the earliest earlier symbol that the entry is a pure power of
         if m.entries[r][c].is_zero():
             return True, None
-        hits = [earlier[b] for b in bases_at.get((r, c), ()) if b in earlier]
-        if hits:
-            return True, names[min(hits)]
+        hits = [first_of_mono.get(b, s_idx) for b in bases_at.get((r, c), ())]
+        first = min(hits, default=s_idx)
+        if first < s_idx:
+            return True, family[first].name
         return False, None
 
     positions = by_base.get(symbol.monomial, ())
@@ -577,7 +654,7 @@ def triangular_witness(
         return None
     rows = tuple(r for r, _ in chosen)
     cols = tuple(c for _, c in chosen)
-    dedup = tuple(sorted(set(guards), key=names.index))
+    dedup = tuple(sorted(set(guards), key=first_of_name.__getitem__))
     return TriangularWitness(
         symbol=symbol.name, rows=rows, cols=cols, strict=not dedup, guards=dedup
     )

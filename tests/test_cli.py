@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, document layout, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -425,3 +426,167 @@ def test_recheck_document_wrong_typed_instance_values(tmp_path, capsys):
         assert run("recheck", str(path)) == 2
         err = capsys.readouterr().err
         assert err == f"error: instance {key!r} must be {expected}, got {value!r}\n"
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    # the parser is built once per process; no value of one call reaches the next
+    assert run("verify", "--family", "section3", "--copies", "2", "--k", "1",
+               "--prime", "1048583", "--seed", "5", "--trials", "3",
+               "--out-dir", str(tmp_path / "a")) == 0
+    assert run("verify", "--family", "section3", "--copies", "2", "--k", "1",
+               "--out-dir", str(tmp_path / "b")) == 0
+    inst = json.loads((tmp_path / "b" / "section3-dims1x1-k1.report.json").read_text())["instance"]
+    assert (inst["prime"], inst["trials"], inst["seed"]) == (2147483629, 20, 0)
+    # a flag of one subcommand is refused by another, after reuse too
+    for _ in range(2):
+        try:
+            run("build", "--family", "section3", "--copies", "2", "--seed", "1",
+                "--out-dir", str(tmp_path))
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            raise AssertionError("--seed accepted by build")
+    assert run("build", "--family", "section3", "--copies", "1,1",
+               "--out-dir", str(tmp_path / "c")) == 0
+    doc = json.loads((tmp_path / "c" / "section3-dims1x3-k1.build.json").read_text())
+    assert doc["instance"] == {"family": "section3", "dims": [1, 3], "k": 1}
+    assert run("certify-stability", "--family", "section3", "--copies", "2", "--k", "2",
+               "--constraint", "total-negative", "--out-dir", str(tmp_path / "d")) in (0, 1)
+    assert run("certify-stability", "--family", "section3", "--copies", "2", "--k", "2",
+               "--out-dir", str(tmp_path / "e")) in (0, 1)
+    inst = json.loads((tmp_path / "e" / "section3-dims1x1-k2.stability.json").read_text())["instance"]
+    assert inst["constraint"] == "per-group-negative"
+    capsys.readouterr()
+    assert run("build", "--family", "section3", "--k", "1", "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: --copies is required for family section3\n"
+
+
+# SHA-256 of documents for small instances, as recorded in the benchmark's
+# expected.json at seed 0 (the CLI's default): a change of serialization shows here
+PINNED_DIGESTS = (
+    (("build", "--family", "section3", "--copies", "1,1", "--k", "1"), {
+        "section3-dims1x3-k1.build.json":
+            "11b0ddd7c8d54d057cd4478c6450e14955ea8dd444ca38b0219ca3dd67378c28",
+    }),
+    (("verify", "--family", "section3", "--copies", "1,1", "--k", "1"), {
+        "section3-dims1x3-k1.report.json":
+            "a651e0538728264416de67e3d59fe807b9c85bace77b77f7b13d02365902ea8a",
+    }),
+    (("certify-simplicity", "--family", "section3", "--copies", "1,1", "--k", "1"), {
+        "section3-dims1x3-k1.simplicity.json":
+            "9968cc1e3903964e5ba344d12c72adc8dbf84c422a2123747f41b4ae68154aa7",
+        "section3-dims1x3-k1.stability.json":
+            "e3c44becb70266e7fe4fe2ab12551674018cee7fe469e1513454570ed6727eed",
+    }),
+    (("certify-stability", "--family", "section4", "--n", "1", "--m", "1", "--l", "1",
+      "--alpha", "1", "--beta", "1", "--gamma", "1", "--k", "1",
+      "--constraint", "per-group-negative"), {
+        "section4-n1-m1-l1-alpha1-beta1-gamma1-k1.stability.json":
+            "1a740275234331c97697bb001c5b80f844552dd25d124e2c042aafdb00a827dc",
+    }),
+)
+
+
+def test_documents_match_pinned_digests(tmp_path):
+    for i, (argv, digests) in enumerate(PINNED_DIGESTS):
+        out = tmp_path / str(i)
+        run(*argv, "--out-dir", str(out))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == digests, argv
+
+
+SECTION_DOCS = (
+    (("build", "--family", "section3", "--copies", "2", "--k", "1"),
+     "section3-dims1x1-k1.build.json"),
+    (("build", "--family", "section4", "--n", "1", "--m", "1", "--l", "1",
+      "--alpha", "1", "--beta", "1", "--gamma", "1", "--k", "1"),
+     "section4-n1-m1-l1-alpha1-beta1-gamma1-k1.build.json"),
+)
+
+
+def assert_instance_refused(doc, key, value, expected):
+    # recheck of a document with one instance value changed: exit 2, one line
+    with tempfile.TemporaryDirectory() as out:
+        tampered = json.loads(json.dumps(doc))
+        tampered["instance"][key] = value
+        path = Path(out) / "tampered.json"
+        path.write_text(json.dumps(tampered, indent=2) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("recheck", str(path))
+        assert code == 2, (key, value)
+        assert err.getvalue() == (
+            f"error: instance {key!r} must be {expected}, got {value!r}\n"
+        ), err.getvalue()
+
+
+def _section_doc(tmp_path, i):
+    argv, name = SECTION_DOCS[i]
+    run(*argv, "--out-dir", str(tmp_path))
+    return json.loads((tmp_path / name).read_text())
+
+
+def test_recheck_refuses_tampered_section_instances(tmp_path, capsys):
+    s3, s4 = _section_doc(tmp_path, 0), _section_doc(tmp_path, 1)
+    for doc in s3, s4:
+        path = tmp_path / "fresh.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert run("recheck", str(path)) == 0
+    for key, value in (("k", "1"), ("k", 1.0), ("k", True), ("dims", [1.0, 1]),
+                       ("dims", [1, "1"]), ("dims", "11")):
+        expected = "a list of integers" if key == "dims" else "an integer"
+        assert_instance_refused(s3, key, value, expected)
+    for key in ("n", "m", "l", "alpha", "beta", "gamma", "k"):
+        for value in ("1", 1.0, False, [1]):
+            assert_instance_refused(s4, key, value, "an integer")
+    # a value of the right type that build_section3/4 refuse: still one line
+    for doc, key, value in ((s3, "dims", [2, 1]), (s3, "k", 0), (s4, "alpha", 0)):
+        tampered = json.loads(json.dumps(doc))
+        tampered["instance"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tampered, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("recheck", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {doc['instance']['family']} parameters: ")
+        assert err.count("\n") == 1
+
+
+_INSTANCE_NON_INTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.text(max_size=4),
+    st.none(), st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from((0, 1)),
+    data=st.data(),
+)
+def test_recheck_wrong_typed_section_instance_values(tmp_path_factory, which, data):
+    doc = _section_doc(tmp_path_factory.mktemp("doc"), which)
+    keys = sorted(k for k in doc["instance"] if k != "family")
+    key = data.draw(st.sampled_from(keys))
+    if key == "dims":
+        value = data.draw(st.one_of(
+            _INSTANCE_NON_INTS.filter(lambda v: not isinstance(v, list)),
+            st.lists(_INSTANCE_NON_INTS.filter(lambda v: not isinstance(v, list)),
+                     min_size=1, max_size=3),
+        ))
+        assert_instance_refused(doc, key, value, "a list of integers")
+    else:
+        assert_instance_refused(doc, key, data.draw(_INSTANCE_NON_INTS), "an integer")
+
+
+def test_custom_spec_letters_without_maps(tmp_path, capsys):
+    spec = dict(COUNTEREXAMPLE, letters=["x", "y"])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for command in ("build", "certify-stability"):
+        assert run(command, "--family", "custom", "--spec-file", str(path),
+                   "--out-dir", str(tmp_path)) in (0, 1)
+    for name in ("build", "stability"):
+        doc_path = tmp_path / f"custom-o11-counterexample.{name}.json"
+        assert json.loads(doc_path.read_text())["instance"]["letters"] == ["x", "y"]
+        capsys.readouterr()
+        assert run("recheck", str(doc_path)) == 0

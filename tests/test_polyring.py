@@ -5,18 +5,23 @@ import random
 
 import pytest
 
+from monadcert import oracles
+from monadcert.monad import build_section3, build_section4, copies_to_factors
 from monadcert.polyring import (
     DEFAULT_PRIME,
+    DEFAULT_TRIALS,
     CoordinateRing,
     MonadMatrix,
     RankEvidence,
     SparsePoly,
     WitnessSymbol,
+    _rank_mod,
     is_probable_prime,
     mat_mul,
     rank_at_random_points,
     triangular_witness,
 )
+from monadcert.space import ProductSpace
 
 
 def trial_division_prime(n):
@@ -175,6 +180,10 @@ def test_degree_consistency():
     # zero entries never count as mismatches
     z = MonadMatrix(r, [[r.zero(), r.zero()]], [(0, 0)], [(-1, 0), (5, 5)])
     assert z.degree_consistent
+    # an inhomogeneous entry is reported whatever the order of its terms
+    for terms in ({(1, 0, 0, 0): 1, (2, 0, 0, 0): 1}, {(2, 0, 0, 0): 1, (1, 0, 0, 0): 1}):
+        mixed = MonadMatrix(r, [[SparsePoly(r, terms)]], [(1, 0)], [(0, 0)])
+        assert mixed.degree_mismatches() == ((0, 0, (2, 0), (1, 0)),)
 
 
 def test_mat_mul_hand_example():
@@ -495,8 +504,9 @@ def test_matrix_eval_matches_entrywise_eval():
     rng = random.Random(31)
     ring = CoordinateRing((1, 2))
     p = DEFAULT_PRIME
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+    # tall, wide and square shapes, and the empty ones
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(60)] + [(0, 2), (2, 0)]
+    for nrows, ncols in shapes:
         # a small monomial pool so that entries share monomials
         entries = [[random_poly(rng, ring) for _ in range(ncols)] for _ in range(nrows)]
         m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
@@ -504,3 +514,136 @@ def test_matrix_eval_matches_entrywise_eval():
         got = m.eval_mod(point, p)
         assert got == [[e.eval_mod(point, p) for e in row] for row in entries]
         assert got == [[eval_direct(e, point, p) for e in row] for row in entries]
+
+
+# ---------------------------------------------------------------------------
+# rank evidence, composite and witness setup against the references
+
+
+def _random_residues(rng, nrows, ncols, p, rank=None):
+    # rank=None: independent entries; otherwise a product of nrows x rank and
+    # rank x ncols factors, so the rank is at most `rank`
+    if rank is None:
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+
+def test_forward_elimination_matches_gauss_jordan():
+    rng = random.Random(4242)
+    primes = (3, 1048573, 1048583, DEFAULT_PRIME, 2 ** 31 - 1)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (2, 40), (40, 2)]
+    ranks = set()
+    for p in primes:
+        assert is_probable_prime(p)
+        for nrows, ncols in shapes:
+            cases = [
+                _random_residues(rng, nrows, ncols, p),
+                [[0] * ncols for _ in range(nrows)],
+                _random_residues(rng, nrows, ncols, p, rank=1),
+                _random_residues(rng, nrows, ncols, p, rank=max(1, min(nrows, ncols) - 1)),
+            ]
+            # a sparse case: mostly zeros, so that pivots must be searched for
+            cases.append([[x if rng.random() < 0.2 else 0 for x in row] for row in cases[0]])
+            for rows in cases:
+                want = oracles.rank_by_gauss_jordan(rows, p)
+                assert _rank_mod([r[:] for r in rows], p) == want, (p, rows)
+                transposed = [list(col) for col in zip(*rows)]
+                assert _rank_mod(transposed, p) == want
+                ranks.add((min(nrows, ncols), want))
+    assert _rank_mod([], DEFAULT_PRIME) == 0
+    # full, deficient and zero ranks all occur
+    assert {(3, 3), (3, 2), (3, 1), (3, 0)} <= ranks
+
+
+SECTION3_MAPS = [(copies, k) for copies in ((2,), (1, 1), (1, 0, 1), (2, 1)) for k in (1, 2, 3)]
+SECTION3_MAPS += [((6,), 3), ((7,), 3), ((8,), 3), ((0, 3), 1), ((3, 0, 1), 3)]
+SECTION4_MAPS = [
+    (n, m, l, a, b, g, k)
+    for (n, m, l) in ((1, 1, 1), (2, 1, 1), (2, 2, 1))
+    for a in (1, 2) for b in (1, 2) for g in (1, 2)
+    for k in (1, 2)
+]
+SECTION4_MAPS += [(4, 4, 4, 1, 2, 3, 2), (3, 3, 3, 1, 2, 3, 2)]
+
+
+def _grid_and_ladder_specs():
+    for copies, k in SECTION3_MAPS:
+        yield build_section3(ProductSpace(copies_to_factors(copies)), k)
+    for params in SECTION4_MAPS:
+        yield build_section4(*params)
+
+
+def test_rank_evidence_matches_entrywise_reference():
+    tall = wide = 0
+    for spec in _grid_and_ladder_specs():
+        for m in (spec.map_f, spec.map_g):
+            tall += m.nrows > m.ncols
+            wide += m.nrows < m.ncols
+            got = rank_at_random_points(m)
+            assert got == oracles.rank_evidence_by_entries(
+                m, DEFAULT_PRIME, DEFAULT_TRIALS, 0
+            ), spec.instance_id
+    assert tall and wide
+    # another seed and the first prime above 2^20, on a few maps
+    for spec in build_section3(ProductSpace((1, 3)), 2), build_section4(2, 1, 1, 1, 2, 1, 2):
+        for m in (spec.map_f, spec.map_g):
+            assert rank_at_random_points(m, prime=1048583, trials=7, seed=11) == (
+                oracles.rank_evidence_by_entries(m, 1048583, 7, 11)
+            )
+
+
+def test_mat_mul_matches_sum_of_products():
+    rng = random.Random(5150)
+    ring = CoordinateRing((1, 2))
+    cancelled = 0
+    for _ in range(60):
+        n, inner, c = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
+        a_rows = [[random_poly(rng, ring) for _ in range(inner)] for _ in range(n)]
+        b_rows = [[random_poly(rng, ring) for _ in range(c)] for _ in range(inner)]
+        if inner >= 2 and rng.random() < 0.5:
+            # a[r][1] * b[1][c] cancels a[r][0] * b[0][c], so zero terms must drop
+            for row in a_rows:
+                row[1] = row[0]
+            b_rows[1] = [-x for x in b_rows[0]]
+        a = MonadMatrix(ring, a_rows, [(0, 0)] * n, [(0, 0)] * inner)
+        b = MonadMatrix(ring, b_rows, [(0, 0)] * inner, [(0, 0)] * c)
+        prod = mat_mul(a, b)
+        assert (prod.nrows, prod.ncols) == (n, c)
+        for r in range(n):
+            for col in range(c):
+                want = ring.zero()
+                for t in range(inner):
+                    want = want + a_rows[r][t] * b_rows[t][col]
+                assert prod.entries[r][col] == want
+                assert 0 not in prod.entries[r][col].terms.values()
+                cancelled += want.is_zero() and inner > 0
+    assert cancelled >= 10
+    # the section3 composite cancels term by term
+    spec = build_section3(ProductSpace((1, 1, 1)), 2)
+    assert mat_mul(spec.map_g, spec.map_f).is_zero()
+
+
+def test_witness_family_setup_is_per_family():
+    rng = random.Random(1618)
+    for _ in range(200):
+        m, symbol, k, family = _random_witness_case(rng)
+        # a second family on the same matrix: the pool reversed and renamed
+        other = tuple(WitnessSymbol(f"t{i}", s.monomial) for i, s in enumerate(reversed(family)))
+        fresh = lambda sym, fam: triangular_witness(
+            MonadMatrix(m.ring, m.entries, m.row_labels, m.col_labels), sym, k, fam
+        )
+        want = fresh(symbol, family)
+        want_other = [fresh(s, other) for s in other]
+        for _ in range(2):
+            # alternate the families, and rebuild the family tuple between calls
+            assert triangular_witness(m, symbol, k, family) == want
+            assert [triangular_witness(m, s, k, other) for s in other] == want_other
+            assert triangular_witness(m, symbol, k, tuple(family)) == want
+            assert triangular_witness(m, symbol, k, list(family)) == want
+        # a list family changed in place between calls is read afresh
+        mutable = list(family)
+        assert triangular_witness(m, symbol, k, mutable) == want
+        mutable[:] = list(other) + [symbol]
+        assert triangular_witness(m, symbol, k, mutable) == fresh(symbol, tuple(mutable))
