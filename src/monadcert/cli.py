@@ -122,7 +122,9 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write(args, doc: dict, instance_id: str, suffix: str) -> Path:
+def _write(args, doc: dict, instance_id: str) -> Path:
+    """Write `doc` as {instance_id}.{suffix}.json, the suffix named by its kind in _KINDS."""
+    suffix, _ = _KINDS[doc["kind"]]
     path = _out_dir(args) / f"{instance_id}.{suffix}.json"
     path.write_bytes(json_bytes(doc))
     return path
@@ -393,6 +395,7 @@ def _simplicity_result(spec: MonadSpec, inst: dict):
     return simplicity_certificate(spec, stab)
 
 
+# document kind -> (file suffix, rebuild of the result from spec and instance)
 _KINDS = {
     "monad-build": ("build", lambda spec, inst: _build_result(spec)),
     "monad-report": ("report", _verify_result),
@@ -433,7 +436,7 @@ def cmd_build(args) -> int:
     inst, spec = _instance_from_args(args)
     result = _build_result(spec)
     doc = _document("monad-build", inst, result)
-    path = _write(args, doc, spec.instance_id, "build")
+    path = _write(args, doc, spec.instance_id)
     display = result["display"]
     print(f"instance: {spec.instance_id}")
     print(f"terms: A = {spec.term_a}  M = {spec.term_m}  C = {spec.term_c}")
@@ -452,7 +455,7 @@ def cmd_verify(args) -> int:
     inst["seed"] = args.seed
     report = _verify_result(spec, inst)
     doc = _document("monad-report", inst, report)
-    path = _write(args, doc, spec.instance_id, "report")
+    path = _write(args, doc, spec.instance_id)
     print(f"instance: {report.instance_id}")
     print(f"composite zero: {str(report.composite_zero).lower()}")
     for ev in (report.map_f, report.map_g):
@@ -475,7 +478,7 @@ def cmd_certify_stability(args) -> int:
     inst = _certify_inst(args, spec, inst)
     cert = _stability_result(spec, inst)
     doc = _document("stability-certificate", inst, cert)
-    path = _write(args, doc, spec.instance_id, "stability")
+    path = _write(args, doc, spec.instance_id)
     print(f"instance: {cert.instance_id}")
     print(f"rank T = {cert.rank_t}, c1(T) = {cert.c1_t}")
     print(f"deg_L T = {cert.degree_t}, slope = {cert.slope_t}, k_E = {cert.k_e}")
@@ -503,7 +506,7 @@ def cmd_certify_simplicity(args) -> int:
     inst = _certify_inst(args, spec, inst)
     stab = _stability_result(spec, inst)
     stab_doc = _document("stability-certificate", inst, stab)
-    stab_path = _write(args, stab_doc, spec.instance_id, "stability")
+    stab_path = _write(args, stab_doc, spec.instance_id)
     print(f"instance: {spec.instance_id}")
     print(f"stability verdict: {stab.verdict} (wrote: {stab_path})")
     if stab.verdict != "stable":
@@ -511,7 +514,7 @@ def cmd_certify_simplicity(args) -> int:
         return 1
     cert = simplicity_certificate(spec, stab)
     doc = _document("simplicity-certificate", inst, cert)
-    path = _write(args, doc, spec.instance_id, "simplicity")
+    path = _write(args, doc, spec.instance_id)
     print(f"twist: {cert.twist}")
     for step in cert.steps:
         print(

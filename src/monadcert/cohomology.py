@@ -14,30 +14,26 @@ from typing import Iterable, Sequence
 from .space import MultiDegree, ProductSpace, vadd, vneg, vscale
 
 
-def h_pn(n: int, d: int, i: int) -> int:
-    """dim H^i(P^n, O(d)).
+def _factor_table(n: int, d: int) -> dict[int, int]:
+    """The nonzero dimensions i -> dim H^i(P^n, O(d)), in at most one degree.
 
     h^0 counts degree-d monomials in n+1 variables; h^n is its dual count at
     degree -d-n-1; everything strictly between vanishes.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if i < 0:
-        raise ValueError(f"i must be >= 0, got {i}")
-    if i == 0:
-        return math.comb(n + d, n) if d >= 0 else 0
-    if i == n:
-        return math.comb(-d - 1, n) if -d - n - 1 >= 0 else 0
-    return 0
-
-
-def _factor_table(n: int, d: int) -> dict[int, int]:
-    # cohomology of O(d) on P^n is concentrated in at most one degree
     if d >= 0:
         return {0: math.comb(n + d, n)}
     if d <= -n - 1:
         return {n: math.comb(-d - 1, n)}
     return {}
+
+
+def h_pn(n: int, d: int, i: int) -> int:
+    """dim H^i(P^n, O(d))."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if i < 0:
+        raise ValueError(f"i must be >= 0, got {i}")
+    return _factor_table(n, d).get(i, 0)
 
 
 def h_line(X: ProductSpace, D: Sequence[int], p: int) -> int:

@@ -2,9 +2,11 @@
 
 A monad here is a three-term complex A --f--> M --g--> C of direct sums of
 line bundles with g*f = 0, f everywhere injective, g everywhere surjective.
-Two families are built: `section3` (band ladders of Segre coordinates over a
-product of odd-dimensional factors, trivial middle term) and `section4`
-(paired coordinate-power ladders on a product of three squared factors).
+Both built families are one construction: k shifted copies of ladder
+blocks, laid out by `_ladder`, whose blocks cancel in pairs in g*f.
+`section3` takes two blocks of Segre coordinates over a product of
+odd-dimensional factors (trivial middle term); `section4` takes two blocks
+of coordinate powers for each factor pair of (P^n)^2 x (P^m)^2 x (P^l)^2.
 `verify_monad` checks the defining conditions exactly: symbolic composite,
 triangular rank witnesses covering a pointwise-nonvanishing symbol family,
 and randomized finite-field rank evidence.
@@ -15,18 +17,21 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cohomology import LineBundleSum
 from .polyring import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
+    COMMON_ZERO_STEPS,
+    CommonZeroUndecided,
     CoordinateRing,
     MonadMatrix,
     RankEvidence,
     SparsePoly,
     TriangularWitness,
     WitnessSymbol,
+    common_zero,
     mat_mul,
     rank_at_random_points,
     triangular_witness,
@@ -34,6 +39,36 @@ from .polyring import (
 from .space import MultiDegree, ProductSpace, dimension_blocks
 
 WitnessFamily = tuple[str, tuple[WitnessSymbol, ...]]
+
+
+BUILD_BUDGET = 200_000
+"""Largest cost of a section3 or section4 build: the cells of f and g
+together times the degree of their entries, plus the distinct monomials
+the builder makes times the ring's variable count (every monomial is a
+dense exponent tuple that wide).  The builders check it before they
+allocate anything of that size, so every command that builds an instance
+refuses the same requests."""
+
+
+def _segre_count(factors: Iterable[int]) -> int:
+    """prod(n + 1) over `factors`, refused as soon as it passes BUILD_BUDGET."""
+    count = 1
+    for n in factors:
+        count *= n + 1
+        if count > BUILD_BUDGET:
+            raise ValueError(
+                f"more than {BUILD_BUDGET} Segre coordinates, over the build budget"
+            )
+    return count
+
+
+def _check_budget(cells: int, degree: int, monomials: int, nvars: int) -> None:
+    cost = cells * degree + monomials * nvars
+    if cost > BUILD_BUDGET:
+        raise ValueError(
+            f"{cells} cells of degree {degree} and {monomials} monomials in "
+            f"{nvars} variables cost {cost}, over the build budget of {BUILD_BUDGET}"
+        )
 
 
 def nu(copies: Sequence[int]) -> int:
@@ -54,14 +89,16 @@ def nu(copies: Sequence[int]) -> int:
 
 
 def copies_to_factors(copies: Sequence[int]) -> tuple[int, ...]:
-    """Expand a copy vector into the ascending tuple of factor dimensions."""
+    """Expand a copy vector into the ascending tuple of factor dimensions.
+
+    A vector with more than BUILD_BUDGET Segre coordinates is refused before
+    it is expanded: no section3 monad on its product fits the budget.
+    """
     copies = tuple(int(c) for c in copies)
     if any(c < 0 for c in copies):
         raise ValueError(f"negative copy count in {copies}")
-    dims = []
-    for i, c in enumerate(copies):
-        dims.extend([2 * i + 1] * c)
-    return tuple(dims)
+    _segre_count(2 * i + 1 for i, c in enumerate(copies) for _ in range(c))
+    return tuple(2 * i + 1 for i, c in enumerate(copies) for _ in range(c))
 
 
 def floystad_check(a: int, b: int, c: int, n: int) -> tuple[bool, bool]:
@@ -135,17 +172,44 @@ class MonadSpec:
         return "-".join(bits)
 
 
+def _ladder(
+    ring: CoordinateRing,
+    k: int,
+    deg_a: MultiDegree,
+    deg_c: MultiDegree,
+    blocks: Sequence[tuple[MultiDegree, list[SparsePoly], list[SparsePoly]]],
+) -> tuple[LineBundleSum, MonadMatrix, MonadMatrix]:
+    """The middle term and the maps f, g of k shifted copies of ladder blocks.
+
+    A block (deg, e_0..e_t, h_0..h_t) takes t+k middle summands of degree
+    `deg`.  Row j of g carries e_0..e_t from the block's column j; column j
+    of f carries h_t..h_0 down from the block's row j.  Entry (i, j) of g*f
+    then sums e_s * h_{t-s+j-i} over each block, so a block (e, h) followed
+    by one with entry products -h_s * e_r, such as (h, -e) or (-h, e),
+    cancels in g*f for every k.
+    """
+    pad = [ring.zero()] * (k - 1)
+    g_rows = [[] for _ in range(k)]
+    f_cols = [[] for _ in range(k)]
+    labels = []
+    for deg, e, h in blocks:
+        for j in range(k):
+            g_rows[j] += pad[:j] + e + pad[j:]
+            f_cols[j] += pad[:j] + h[::-1] + pad[j:]
+        labels += [deg] * (len(e) - 1 + k)
+    term_m = LineBundleSum([(deg, len(e) - 1 + k) for deg, e, _ in blocks])
+    map_g = MonadMatrix(ring, g_rows, [deg_c] * k, labels)
+    map_f = MonadMatrix(ring, zip(*f_cols), labels, [deg_a] * k)
+    return term_m, map_f, map_g
+
+
 def build_section3(space: ProductSpace, k: int) -> MonadSpec:
     """Band-ladder monad O(-1,..,-1)^k -> O^{2nu+2k} -> O(1,..,1)^k.
 
     Requires a product of at least two odd-dimensional factors.  The 2nu+2
     Segre coordinates z_t (one coordinate per factor, mixed-radix order) are
-    split as x_t = z_t and y_t = z_{nu+1+t}.  Row i of the right map g
-    carries x_0..x_nu ascending from column i of the x-block and y_0..y_nu
-    ascending from column i of the y-block.  Column j of the left map f
-    carries -y_nu..-y_0 down from row j and x_nu..x_0 down from row nu+k+j:
-    the reversed ladders pair each x_a*y_b term in g*f against its mirror,
-    so the composite cancels identically for every k.
+    split as x_t = z_t and y_t = z_{nu+1+t}; the two ladder blocks are
+    (x, -y) and (y, x), so each x_a*y_b term in g*f meets its mirror.
 
     The returned space groups its factors by dimension; those groups are the
     twist family the stability certificate quantifies over for this family.
@@ -157,46 +221,28 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
         raise ValueError(f"all factor dimensions must be odd, got {factors}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    segre_count = _segre_count(factors)
+    _check_budget(
+        2 * k * (segre_count - 2 + 2 * k), len(factors), segre_count, sum(n + 1 for n in factors)
+    )
     space = ProductSpace(factors, groups=dimension_blocks(factors))
     l = len(factors)
     ring = CoordinateRing(factors)
     # mixed-radix order: the first factor most significant, the last fastest
-    coords = list(itertools.product(*(range(n + 1) for n in factors)))
-    v = len(coords) // 2 - 1
-    width = v + k  # columns per ladder block
-    rank_m = 2 * v + 2 * k
-
+    coords = itertools.product(*(range(n + 1) for n in factors))
     segre = [SparsePoly(ring, {ring.unit_monomial(enumerate(c)): 1}) for c in coords]
-    x = segre[: v + 1]
-    y = segre[v + 1 :]
-    zero = ring.zero()
-
-    ones = (1,) * l
-    zeros = (0,) * l
-    neg_ones = (-1,) * l
-
-    g_rows = []
-    for i in range(k):
-        row = [zero] * rank_m
-        for s in range(v + 1):
-            row[s + i] = x[s]
-            row[width + s + i] = y[s]
-        g_rows.append(row)
-    map_g = MonadMatrix(ring, g_rows, [ones] * k, [zeros] * rank_m)
-
-    f_rows = [[zero] * k for _ in range(rank_m)]
-    for j in range(k):
-        for s in range(v + 1):
-            f_rows[j + v - s][j] = -y[s]
-            f_rows[width + j + v - s][j] = x[s]
-    map_f = MonadMatrix(ring, f_rows, [zeros] * rank_m, [neg_ones] * k)
-
+    half = len(segre) // 2
+    x, y = segre[:half], segre[half:]
+    ones, zeros, neg_ones = (1,) * l, (0,) * l, (-1,) * l
+    term_m, map_f, map_g = _ladder(
+        ring, k, neg_ones, ones, [(zeros, x, [-p for p in y]), (zeros, y, x)]
+    )
     symbols = tuple(
         WitnessSymbol(
-            name=(f"x{t}" if t <= v else f"y{t - v - 1}"),
-            monomial=next(iter(segre[t].terms)),
+            name=(f"x{t}" if t < half else f"y{t - half}"),
+            monomial=next(iter(z.terms)),
         )
-        for t in range(2 * v + 2)
+        for t, z in enumerate(segre)
     )
 
     return MonadSpec(
@@ -204,7 +250,7 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
         space=space,
         ring=ring,
         term_a=LineBundleSum([(neg_ones, k)]),
-        term_m=LineBundleSum([(zeros, rank_m)]),
+        term_m=term_m,
         term_c=LineBundleSum([(ones, k)]),
         map_f=map_f,
         map_g=map_g,
@@ -223,13 +269,11 @@ def build_section4(
 ) -> MonadSpec:
     """Coordinate-power ladder monad on (P^n)^2 x (P^m)^2 x (P^l)^2.
 
-    Factors carry coordinates u, v (dimension n), w, x (m), y, z (l).  The
-    middle term has six blocks U, V, W, X, Y, Z of sizes n+k, n+k, m+k, m+k,
-    l+k, l+k with summand degrees -alpha (resp. -beta, -gamma) on the block's
-    own factor and 0 elsewhere.  Row j of g carries the block's own
-    coordinates to the power alpha/beta/gamma, ascending from column j of
-    each block; column j of f carries the partner factor's coordinates
-    descending (+v, -u, +x, -w, +z, -y), so the composite cancels in pairs.
+    Factors carry coordinates u, v (dimension n), w, x (m), y, z (l).  Each
+    factor pair with power p (alpha, beta, gamma) gives two ladder blocks,
+    (u^p, v^p) and (v^p, -u^p) for the first pair; a block's middle summands
+    have degree -p on its own factor (the one of its g entries) and 0
+    elsewhere.
 
     Matrix entries are powers of single coordinates, so an entry's own
     multidegree lives in one factor while the block labels record the term
@@ -238,48 +282,24 @@ def build_section4(
     """
     if min(n, m, l, alpha, beta, gamma, k) < 1:
         raise ValueError("all parameters must be >= 1")
+    # the coordinate powers and the witness families: two monomials per variable
+    nvars = 2 * (n + m + l) + 6
+    _check_budget(2 * k * (nvars - 6 + 6 * k), max(alpha, beta, gamma), 2 * nvars, nvars)
     factors = (n, n, m, m, l, l)
     letters = ("u", "v", "w", "x", "y", "z")
     space = ProductSpace(factors, groups=tuple((c, (i,)) for i, c in enumerate(letters)))
     ring = CoordinateRing(factors, letters=letters)
-    zero = ring.zero()
-
-    # per block: (own factor, partner factor, dimension, power, sign of f entry)
-    blocks = (
-        (0, 1, n, alpha, 1),
-        (1, 0, n, alpha, -1),
-        (2, 3, m, beta, 1),
-        (3, 2, m, beta, -1),
-        (4, 5, l, gamma, 1),
-        (5, 4, l, gamma, -1),
-    )
-    m_summands = []
-    offsets = []
-    off = 0
-    for own, _, dim, power, _ in blocks:
-        deg = [0] * 6
-        deg[own] = -power
-        m_summands.append((tuple(deg), dim + k))
-        offsets.append(off)
-        off += dim + k
-    rank_m = off
-
-    a_deg = (-alpha, -alpha, -beta, -beta, -gamma, -gamma)
     c_deg = (alpha, alpha, beta, beta, gamma, gamma)
+    a_deg = tuple(-d for d in c_deg)
 
-    g_rows = [[zero] * rank_m for _ in range(k)]
-    f_rows = [[zero] * k for _ in range(rank_m)]
-    for (own, partner, dim, power, sign), off in zip(blocks, offsets):
-        for j in range(k):
-            for s in range(dim + 1):
-                g_rows[j][off + s + j] = ring.variable(own, s) ** power
-                f_rows[off + j + dim - s][j] = sign * (ring.variable(partner, s) ** power)
-
-    term_a = LineBundleSum([(a_deg, k)])
-    term_m = LineBundleSum(m_summands)
-    term_c = LineBundleSum([(c_deg, k)])
-    map_g = MonadMatrix(ring, g_rows, [c_deg] * k, term_m.degrees())
-    map_f = MonadMatrix(ring, f_rows, term_m.degrees(), [a_deg] * k)
+    blocks = []
+    for i in (0, 2, 4):
+        first, second = (
+            [ring.variable(f, s) ** c_deg[f] for s in range(factors[f] + 1)] for f in (i, i + 1)
+        )
+        for f, e, h in ((i, first, second), (i + 1, second, [-p for p in first])):
+            blocks.append((tuple(a_deg[f] if j == f else 0 for j in range(6)), e, h))
+    term_m, map_f, map_g = _ladder(ring, k, a_deg, c_deg, blocks)
 
     families = tuple(
         (
@@ -296,9 +316,9 @@ def build_section4(
         family="section4",
         space=space,
         ring=ring,
-        term_a=term_a,
+        term_a=LineBundleSum([(a_deg, k)]),
         term_m=term_m,
-        term_c=term_c,
+        term_c=LineBundleSum([(c_deg, k)]),
         map_f=map_f,
         map_g=map_g,
         params=(
@@ -409,7 +429,7 @@ def _map_evidence(
     matrix: MonadMatrix,
     name: str,
     required_rank: int,
-    families: tuple[WitnessFamily, ...],
+    families: Sequence[WitnessFamily],
     prime: int,
     trials: int,
     seed: int,
@@ -455,16 +475,33 @@ def verify_monad(
     Composite vanishing is symbolic.  Maximal rank everywhere is certified
     per map when some ordered witness family is fully covered: at any point
     of the space the first nonvanishing family symbol's witness is
-    triangular with unit diagonal there.  Randomized evaluation corroborates
-    at `trials` sample points; failures are reported, never raised.
+    triangular with unit diagonal there.  A family whose symbols all vanish
+    at some point cannot cover; it is left out, with a note naming the
+    point, and so is a family the bounded common-zero search cannot decide.  Randomized evaluation corroborates at `trials` sample points;
+    failures are reported, never raised.
     """
     composite = mat_mul(spec.map_g, spec.map_f)
-    ev_f = _map_evidence(
-        spec.map_f, "f", spec.term_a.rank, spec.witness_families, prime, trials, seed
-    )
-    ev_g = _map_evidence(
-        spec.map_g, "g", spec.term_c.rank, spec.witness_families, prime, trials, seed
-    )
+    families = []
+    notes = list(spec.notes)
+    for family in spec.witness_families:
+        try:
+            zero = common_zero(spec.ring, [s.monomial for s in family[1]])
+        except CommonZeroUndecided:
+            notes.append(
+                f"witness family {family[0]!r} not used: no common zero of its symbols "
+                f"found or ruled out within {COMMON_ZERO_STEPS} search steps"
+            )
+            continue
+        if zero is None:
+            families.append(family)
+        else:
+            point = " x ".join(
+                "[" + ":".join("1" if j == live else "0" for j in range(n + 1)) + "]"
+                for n, live in zip(spec.ring.factors, zero)
+            )
+            notes.append(f"witness family {family[0]!r} not used: every symbol vanishes at {point}")
+    ev_f = _map_evidence(spec.map_f, "f", spec.term_a.rank, families, prime, trials, seed)
+    ev_g = _map_evidence(spec.map_g, "g", spec.term_c.rank, families, prime, trials, seed)
     valid = (
         composite.is_zero()
         and ev_f.cover_complete
@@ -478,7 +515,7 @@ def verify_monad(
         map_f=ev_f,
         map_g=ev_g,
         valid=valid,
-        notes=spec.notes,
+        notes=tuple(notes),
     )
 
 

@@ -4,9 +4,10 @@ Each oracle computes by enumeration or by a different route from the code it
 checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
 truncated polynomial ring, ranks come from Gauss-Jordan on matrices
-evaluated entry by entry.  `selftest` runs SUITES; the tests call the same
-oracles and check functions with their own seeds and ranges.  A check
-function raises AssertionError on the first disagreement.
+evaluated entry by entry, common zeros are sought at every point over F_2.
+`selftest` runs SUITES; the tests call the same oracles and check functions
+with their own seeds and ranges.  A check function raises AssertionError on
+the first disagreement.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 from .certify import TwistMode, vanishing_all_twists
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import build_section3, build_section4, nu, verify_monad
-from .polyring import MonadMatrix, RankEvidence
+from .polyring import CoordinateRing, Monomial, MonadMatrix, RankEvidence, common_zero
 from .space import MultiDegree, ProductSpace
 
 
@@ -182,6 +183,24 @@ def rank_evidence_by_entries(m: MonadMatrix, prime: int, trials: int, seed: int)
     )
 
 
+def has_common_zero_by_points(ring: CoordinateRing, monomials: Sequence[Monomial]) -> bool:
+    """Whether every monomial vanishes at one point, trying every point over F_2.
+
+    A monomial's value is zero exactly when one of its coordinates is, and
+    every pattern of zero coordinates that leaves one coordinate per factor
+    live is a point over F_2, so this enumeration misses no common zero.
+    The reference for polyring.common_zero.
+    """
+    per_factor = [
+        [t for t in itertools.product((0, 1), repeat=n + 1) if any(t)] for n in ring.factors
+    ]
+    for point in itertools.product(*per_factor):
+        flat = [x for t in point for x in t]
+        if all(math.prod(x**e for x, e in zip(flat, mono)) == 0 for mono in monomials):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # check functions
 
@@ -282,6 +301,34 @@ def check_nu(limit: int) -> None:
     assert seen > 10
 
 
+def check_common_zero(seed: int, draws: int) -> None:
+    """common_zero against every point over F_2, on random small monomial families.
+
+    A monomial uses no coordinate of a factor in a third of the draws, one
+    in a half and two in a sixth, so families with and without a common
+    zero both occur (about 3 to 2 in 3000 draws).  A returned point must be
+    a common zero.
+    """
+    rng = random.Random(seed)
+    for _ in range(draws):
+        ring = CoordinateRing(tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3))))
+        family = []
+        for _ in range(rng.randint(0, 6)):
+            exps = [0] * ring.nvars
+            for n, off in zip(ring.factors, ring.offsets):
+                for _ in range(rng.choice((0, 0, 1, 1, 1, 2))):
+                    exps[off + rng.randint(0, n)] += 1
+            family.append(tuple(exps))
+        zero = common_zero(ring, family)
+        want = has_common_zero_by_points(ring, family)
+        assert (zero is not None) == want, f"disagreement on {ring.factors} {family}"
+        if zero is not None:
+            flat = [int(j == live) for n, live in zip(ring.factors, zero) for j in range(n + 1)]
+            assert all(
+                math.prod(x**e for x, e in zip(flat, mono)) == 0 for mono in family
+            ), f"{zero} is no common zero of {family}"
+
+
 def check_monads() -> None:
     """The smallest instance of each built family verifies as a monad."""
     assert verify_monad(build_section3(ProductSpace((1, 1)), 1)).valid
@@ -300,5 +347,6 @@ SUITES = (
     ("exterior-rank", partial(check_exterior_rank, seed=32452843, draws=60, deg_max=2)),
     ("vanishing-dp-vs-enumeration", partial(check_vanishing, seed=49979687, draws=30)),
     ("nu-half-product", partial(check_nu, limit=512)),
+    ("common-zero-vs-points", partial(check_common_zero, seed=86028121, draws=300)),
     ("monad-validity", check_monads),
 )

@@ -555,13 +555,74 @@ def rank_at_random_points(
 class WitnessSymbol:
     """A named monomial usable on a witness diagonal.
 
-    Symbols come in ordered families with the covering property that at every
-    point of the space at least one family member is nonzero (all coordinates
-    of one factor, or all Segre coordinates).
+    Symbols come in ordered families that should have the covering property
+    that at every point of the space at least one family member is nonzero
+    (all coordinates of one factor, or all Segre coordinates); `common_zero`
+    decides it.
     """
 
     name: str
     monomial: Monomial
+
+
+COMMON_ZERO_STEPS = 1_000_000
+"""Most monomial checks `common_zero` makes before it gives up.  Deciding
+whether a monomial family has a common zero is NP-complete (on (P^1)^n the
+monomial x_{a,i} x_{b,j} x_{c,h} rules out one clause of a 3-SAT formula),
+so the search is bounded.  The largest built family within the build
+budget, the 4096 Segre monomials of (P^1)^12, takes 61439 checks."""
+
+
+class CommonZeroUndecided(Exception):
+    """`common_zero` used up COMMON_ZERO_STEPS without deciding."""
+
+
+def common_zero(ring: CoordinateRing, monomials: Sequence[Monomial]) -> tuple[int, ...] | None:
+    """A point of the space where every monomial vanishes, or None if there is none.
+
+    Only the points with one live coordinate per factor (set to 1, the rest
+    0) need trying: at any common zero, keep one live coordinate per factor
+    and zero the others, and every monomial still vanishes.  A monomial
+    vanishes at such a point unless each coordinate it uses is live, so it
+    is reduced to the live coordinate it needs in each factor it uses, or
+    dropped when it uses two coordinates of one factor.  The search chooses
+    the live coordinate factor by factor, tries only the first coordinate of
+    a factor no remaining monomial constrains, and stops on a branch as soon
+    as some monomial needs nothing of the factors still to choose.  Returns
+    the live coordinate's index in each factor.
+
+    The worst case is exponential in the number of factors, so the search
+    raises CommonZeroUndecided after COMMON_ZERO_STEPS monomial checks.
+    """
+    needs = []
+    for mono in monomials:
+        need: dict[int, int] = {}
+        for var, e in enumerate(mono):
+            if e and need.setdefault(ring.var_factor[var], var) != var:
+                break
+        else:
+            needs.append((max(need, default=-1), need))
+    steps = 0
+
+    def search(factor: int, live: tuple[int, ...], alive: list) -> tuple[int, ...] | None:
+        nonlocal steps
+        steps += 1 + len(alive)
+        if steps > COMMON_ZERO_STEPS:
+            raise CommonZeroUndecided(f"no decision within {COMMON_ZERO_STEPS} search steps")
+        if not alive:
+            return live + (0,) * (len(ring.factors) - factor)
+        if any(last < factor for last, _ in alive):
+            return None
+        constrained = any(factor in need for _, need in alive)
+        for j in range(ring.factors[factor] + 1 if constrained else 1):
+            var = ring.offsets[factor] + j
+            rest = [n for n in alive if n[1].get(factor, var) == var]
+            found = search(factor + 1, live + (j,), rest)
+            if found is not None:
+                return found
+        return None
+
+    return search(0, (), needs)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,7 @@ class ProductSpace:
         if groups is None:
             groups = tuple((f"f{i}", (i,)) for i in range(len(factors)))
         else:
-            if isinstance(groups, dict):
-                groups = tuple((name, tuple(idx)) for name, idx in groups.items())
-            else:
-                groups = tuple((name, tuple(idx)) for name, idx in groups)
+            groups = tuple((name, tuple(idx)) for name, idx in groups)
             seen: list[int] = []
             for name, idx in groups:
                 if not name:

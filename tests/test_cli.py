@@ -590,3 +590,46 @@ def test_custom_spec_letters_without_maps(tmp_path, capsys):
         assert json.loads(doc_path.read_text())["instance"]["letters"] == ["x", "y"]
         capsys.readouterr()
         assert run("recheck", str(doc_path)) == 0
+
+
+# instances just past the build budget (monad.BUILD_BUDGET = 200000, cells x degree
+# plus monomials x variables): (P^1)^2 k=158 has 2*158*318 cells of degree 2, one k
+# more than fits; section4 with alpha 8322 has 24 cells of degree 8322; P^1 x P^313
+# has 628 Segre monomials in 316 variables, section4 with n = 153 has 632 in 316;
+# 11 copies of P^1 and 2 of P^9 have 204800 Segre coordinates
+OVER_BUDGET = (
+    ("--family", "section3", "--copies", "2", "--k", "158"),
+    ("--family", "section3", "--copies", "1," + "0," * 155 + "1"),
+    ("--family", "section3", "--copies", "11,0,0,0,2"),
+    ("--family", "section4", "--alpha", "8322"),
+    ("--family", "section4", "--n", "153"),
+)
+
+
+def test_over_budget_sizes_exit_2(tmp_path, capsys):
+    for command in ("build", "verify", "certify-stability", "certify-simplicity"):
+        for args in OVER_BUDGET:
+            capsys.readouterr()
+            assert run(command, *args, "--out-dir", str(tmp_path)) == 2, (command, args)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "over the build budget" in err
+    assert not list(tmp_path.iterdir())
+    # the same budget holds for an instance block rebuilt by recheck
+    s3, s4 = _section_doc(tmp_path, 0), _section_doc(tmp_path, 1)
+    for doc, key, value in (
+        (s3, "k", 158),
+        (s3, "dims", [1, 313]),
+        (s3, "dims", [1] * 11 + [9, 9]),
+        (s4, "alpha", 8322),
+        (s4, "n", 153),
+    ):
+        tampered = json.loads(json.dumps(doc))
+        tampered["instance"][key] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(tampered, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("recheck", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {doc['instance']['family']} parameters: ")
+        assert "over the build budget" in err and err.count("\n") == 1

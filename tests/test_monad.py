@@ -1,17 +1,22 @@
 """Monad builders: ladder matrices, composite vanishing, verification.
 
-The k=1 band matrices are frozen entry by entry; everything larger is
-covered by the structural invariants (symbolic composite zero, witness
-cover, Whitney-sum rank arithmetic).
+The k=1 band matrices are frozen entry by entry, and one k=2 instance of
+each family by its entries and labels; everything larger is covered by the
+structural invariants (symbolic composite zero, witness cover, Whitney-sum
+rank arithmetic).
 """
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from monadcert.cohomology import LineBundleSum
 from monadcert.monad import (
+    BUILD_BUDGET,
     MonadSpec,
     build_section3,
     build_section4,
@@ -22,7 +27,7 @@ from monadcert.monad import (
     nu,
     verify_monad,
 )
-from monadcert.polyring import mat_mul
+from monadcert.polyring import CoordinateRing, MonadMatrix, WitnessSymbol, mat_mul
 from monadcert.space import ProductSpace
 
 
@@ -115,6 +120,48 @@ def test_build_section3_frozen_k1():
     )
 
 
+def _layout(matrix):
+    """Entries as strings and both label lists: everything a builder lays out."""
+    return (
+        [[str(e) for e in row] for row in matrix.entries],
+        [list(lab) for lab in matrix.row_labels],
+        [list(lab) for lab in matrix.col_labels],
+    )
+
+
+def test_build_section3_frozen_k2():
+    s = build_section3(ProductSpace((1, 1)), 2)
+    x0, x1, y0, y1 = "a1_0*a2_0", "a1_0*a2_1", "a1_1*a2_0", "a1_1*a2_1"
+    zeros = [[0, 0]] * 6
+    assert _layout(s.map_g) == (
+        [[x0, x1, "0", y0, y1, "0"], ["0", x0, x1, "0", y0, y1]],
+        [[1, 1]] * 2,
+        zeros,
+    )
+    assert _layout(s.map_f) == (
+        [
+            ["-" + y1, "0"], ["-" + y0, "-" + y1], ["0", "-" + y0],
+            [x1, "0"], [x0, x1], ["0", x0],
+        ],
+        zeros,
+        [[-1, -1]] * 2,
+    )
+
+
+def test_build_section4_frozen_k2():
+    # 18 x 2 and 2 x 18 maps, pinned by the SHA-256 of their canonical JSON
+    s = build_section4(1, 1, 1, 1, 1, 1, 2)
+    digests = [
+        hashlib.sha256(json.dumps(_layout(m)).encode()).hexdigest()
+        for m in (s.map_g, s.map_f)
+    ]
+    assert digests == [
+        "2d79a187d969bea692b61fccb93ebd993bdd2fea0995b32a9d8defc01e4bef2e",
+        "573dbf0ca0db9c8b485eab0f32d68c59f016ccd10120a284351d70f23395e000",
+    ]
+    assert [str(e) for e in s.map_f.entries[4]] == ["-u0", "-u1"]
+
+
 def test_build_section3_composite_zero():
     for factors, k in [((1, 1), 1), ((1, 1), 3), ((1, 3), 2), ((1, 1, 3), 1), ((1, 5), 2)]:
         s = build_section3(ProductSpace(factors), k)
@@ -173,6 +220,39 @@ def test_build_section4_rejects_bad_input():
         build_section4(0, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         build_section4(1, 1, 1, 1, 1, 1, 0)
+
+
+def test_build_budget_edge():
+    # (P^1)^2 with k bands: 2k(2 + 2k) cells of degree 2, plus 4 monomials in 4 variables
+    assert 8 * 157 * 158 + 16 <= BUILD_BUDGET < 8 * 158 * 159 + 16
+    assert build_section3(ProductSpace((1, 1)), 157).map_g.ncols == 316
+    with pytest.raises(ValueError, match="over the build budget"):
+        build_section3(ProductSpace((1, 1)), 158)
+    # section4 with n = m = l = k = 1: 24 cells of degree max(alpha, beta, gamma),
+    # plus 24 monomials in 12 variables
+    assert 24 * 8321 + 288 <= BUILD_BUDGET < 24 * 8322 + 288
+    assert str(build_section4(1, 1, 1, 1, 8321, 1, 1).map_g.entry(0, 4)) == "w0^8321"
+    with pytest.raises(ValueError, match="over the build budget"):
+        build_section4(1, 1, 1, 1, 1, 8322, 1)
+    # along a factor dimension every monomial widens with the ring: P^1 x P^N with
+    # k = 1 costs 4(2N + 2) for its cells plus (2N + 2)(N + 3) for its Segre monomials
+    assert 2 * 312 * 318 <= BUILD_BUDGET < 2 * 314 * 320
+    assert build_section3(ProductSpace((1, 311)), 1).map_f.nrows == 624
+    with pytest.raises(ValueError, match="over the build budget"):
+        build_section3(ProductSpace((1, 313)), 1)
+    # section4 with n = N, k = 1 has v = 2N + 10 variables, 2v cells of degree 1
+    # and 2v monomials
+    assert 2 * 314 * 315 <= BUILD_BUDGET < 2 * 316 * 317
+    assert build_section4(152, 1, 1, 1, 1, 1, 1).term_m.rank == 314
+    with pytest.raises(ValueError, match="over the build budget"):
+        build_section4(153, 1, 1, 1, 1, 1, 1)
+    # the largest products the budget is meant to admit
+    assert build_section3(ProductSpace((1,) * 10), 8).map_f.nrows == 1038
+    assert build_section4(5, 5, 5, 1, 2, 3, 3).term_m.rank == 48
+    # a copy vector is refused before it is expanded: 2^11 * 10^2 Segre coordinates
+    assert len(copies_to_factors((17,))) == 17
+    with pytest.raises(ValueError, match="over the build budget"):
+        copies_to_factors((11, 0, 0, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +351,36 @@ def test_verify_flags_broken_composite():
     )
     rep = verify_monad(spec, trials=3)
     assert not rep.composite_zero  # g.f = 2*x0*x1
+    assert not rep.valid
+
+
+def test_verify_refuses_family_with_common_zero():
+    # f = x0: O(-1) -> O vanishes at [0:1]; a family holding only x0 must not cover it
+    r = CoordinateRing((1,))
+    f = MonadMatrix(r, [[r.variable(0, 0)]], [(0,)], [(-1,)])
+    g = MonadMatrix(r, [], [], [(0,)])
+    spec = custom_monad(
+        "x0 only",
+        ProductSpace((1,)),
+        LineBundleSum([((-1,), 1)]),
+        LineBundleSum([((0,), 1)]),
+        LineBundleSum([]),
+        map_f=f,
+        map_g=g,
+        witness_families=(("x0only", (WitnessSymbol("x0", (1, 0)),)),),
+    )
+    rep = verify_monad(spec, trials=3)
+    assert rep.map_f.rank_matches  # random points miss the zero of x0
+    assert rep.map_f.covering_family is None
+    assert rep.map_f.families == ()
+    assert not rep.valid
+    assert rep.notes == ("witness family 'x0only' not used: every symbol vanishes at [0:1]",)
+    # with x1 added the family covers, and the same map still needs x1's witness
+    both = dataclasses.replace(
+        spec, witness_families=(("x", (WitnessSymbol("x0", (1, 0)), WitnessSymbol("x1", (0, 1)))),)
+    )
+    rep = verify_monad(both, trials=3)
+    assert rep.notes == () and rep.map_f.families[0].missing == ("x1",)
     assert not rep.valid
 
 

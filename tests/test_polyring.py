@@ -6,16 +6,26 @@ import random
 import pytest
 
 from monadcert import oracles
-from monadcert.monad import build_section3, build_section4, copies_to_factors
+from monadcert.cohomology import LineBundleSum
+from monadcert.monad import (
+    build_section3,
+    build_section4,
+    copies_to_factors,
+    custom_monad,
+    verify_monad,
+)
 from monadcert.polyring import (
+    COMMON_ZERO_STEPS,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
+    CommonZeroUndecided,
     CoordinateRing,
     MonadMatrix,
     RankEvidence,
     SparsePoly,
     WitnessSymbol,
     _rank_mod,
+    common_zero,
     is_probable_prime,
     mat_mul,
     rank_at_random_points,
@@ -647,3 +657,61 @@ def test_witness_family_setup_is_per_family():
         assert triangular_witness(m, symbol, k, mutable) == want
         mutable[:] = list(other) + [symbol]
         assert triangular_witness(m, symbol, k, mutable) == fresh(symbol, tuple(mutable))
+
+
+def test_common_zero_matches_points_over_f2():
+    oracles.check_common_zero(seed=2718, draws=3000)
+
+
+def test_common_zero_of_built_families():
+    # every built family covers; without one Segre symbol, the Segre family
+    # vanishes exactly at that symbol's coordinate point
+    for spec in (build_section3(ProductSpace((1, 1, 3)), 1), build_section4(2, 1, 3, 1, 1, 1, 1)):
+        for _, family in spec.witness_families:
+            assert common_zero(spec.ring, [s.monomial for s in family]) is None
+    spec = build_section3(ProductSpace((1, 1, 3)), 1)
+    (_, segre), = spec.witness_families
+    for t, symbol in enumerate(segre):
+        rest = [s.monomial for s in segre[:t] + segre[t + 1 :]]
+        live = common_zero(spec.ring, rest)
+        assert live is not None
+        assert spec.ring.unit_monomial(enumerate(live)) == symbol.monomial
+    # a constant covers everything; the empty family vanishes everywhere
+    ring = CoordinateRing((1, 2))
+    assert common_zero(ring, [(0,) * ring.nvars]) is None
+    assert common_zero(ring, []) == (0, 0)
+
+
+def _branching_family(n):
+    """On (P^1)^n: both coordinates of the last factor, and each coordinate of
+    every other factor times the last factor's first.  No common zero, but the
+    search branches on every factor before the last one rules it out."""
+    ring = CoordinateRing((1,) * n)
+    last = n - 1
+    family = [ring.unit_monomial([(last, 0)]), ring.unit_monomial([(last, 1)])]
+    for i in range(last):
+        family += [ring.unit_monomial([(i, j), (last, 0)]) for j in (0, 1)]
+    return ring, family
+
+
+def test_common_zero_search_is_bounded():
+    # 15 factors take 884703 of the 1000000 steps, 16 would take 1867741
+    assert COMMON_ZERO_STEPS == 1_000_000
+    assert common_zero(*_branching_family(15)) is None
+    ring, family = _branching_family(16)
+    with pytest.raises(CommonZeroUndecided):
+        common_zero(ring, family)
+    # verify leaves an undecided family out instead of searching on
+    symbols = tuple(WitnessSymbol(f"s{t}", m) for t, m in enumerate(family))
+    spec = custom_monad(
+        "branching",
+        ProductSpace((1,) * 16),
+        LineBundleSum([]),
+        LineBundleSum([((0,) * 16, 1)]),
+        LineBundleSum([]),
+        witness_families=(("branching", symbols),),
+    )
+    assert verify_monad(spec, trials=1).notes == (
+        "witness family 'branching' not used: no common zero of its symbols "
+        "found or ruled out within 1000000 search steps",
+    )

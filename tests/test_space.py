@@ -75,7 +75,7 @@ def test_space_rejects_bad_factors():
 
 
 def test_custom_groups():
-    x = ProductSpace((1, 1, 3), groups={"lines": (0, 1), "big": (2,)})
+    x = ProductSpace((1, 1, 3), groups=(("lines", (0, 1)), ("big", (2,))))
     assert x.group_sums((2, 3, -1)) == (("lines", 5), ("big", -1))
     # groups must partition the factor indices exactly
     with pytest.raises(ValueError):
