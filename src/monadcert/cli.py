@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import functools
 import json
 import os
@@ -27,6 +26,7 @@ from .monad import (
     MonadSpec,
     build_section3,
     build_section4,
+    check_custom_budget,
     copies_to_factors,
     custom_monad,
     display_summary,
@@ -67,8 +67,6 @@ def _encoder(cls: type):
     """
     if issubclass(cls, Fraction):
         return lambda obj: f"{obj.numerator}/{obj.denominator}"
-    if issubclass(cls, enum.Enum):
-        return lambda obj: obj.value
     if issubclass(cls, LineBundleSum):
         return lambda obj: [[list(deg), mult] for deg, mult in obj.summands]
     if issubclass(cls, SparsePoly):
@@ -79,8 +77,6 @@ def _encoder(cls: type):
             "col_labels": [list(lab) for lab in obj.col_labels],
             "entries": [[to_jsonable(e) for e in row] for row in obj.entries],
         }
-    if issubclass(cls, CoordinateRing):
-        return lambda obj: {"factors": list(obj.factors), "letters": list(obj.letters)}
     if dataclasses.is_dataclass(cls):
         names = tuple(f.name for f in dataclasses.fields(cls))
 
@@ -234,6 +230,7 @@ def _custom_from_block(block: dict, where: str = "spec") -> MonadSpec:
         term_a, term_m, term_c = (
             _sum_from_block(block["terms"].get(t, []), len(factors), t) for t in "amc"
         )
+        check_custom_budget(factors, (term_a, term_m, term_c))
         ring = CoordinateRing(factors, letters=block.get("letters"))
         maps = block.get("maps") or {}
         # a missing map is zero over the spec's own ring, so its letters are kept

@@ -3,13 +3,14 @@
 A monad here is a three-term complex A --f--> M --g--> C of direct sums of
 line bundles with g*f = 0, f everywhere injective, g everywhere surjective.
 Both built families are one construction: k shifted copies of ladder
-blocks, laid out by `_ladder`, whose blocks cancel in pairs in g*f.
+blocks, laid out by `_ladder`, whose blocks cancel in pairs in g*f and
+whose entries each head a triangular rank witness.
 `section3` takes two blocks of Segre coordinates over a product of
 odd-dimensional factors (trivial middle term); `section4` takes two blocks
 of coordinate powers for each factor pair of (P^n)^2 x (P^m)^2 x (P^l)^2.
 `verify_monad` checks the defining conditions exactly: symbolic composite,
-triangular rank witnesses covering a pointwise-nonvanishing symbol family,
-and randomized finite-field rank evidence.
+the spec's triangular rank witnesses covering a pointwise-nonvanishing
+symbol family, and randomized finite-field rank evidence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .polyring import (
     CommonZeroUndecided,
     CoordinateRing,
     MonadMatrix,
+    Monomial,
     RankEvidence,
     SparsePoly,
     TriangularWitness,
@@ -39,6 +41,7 @@ from .polyring import (
 from .space import MultiDegree, ProductSpace, dimension_blocks
 
 WitnessFamily = tuple[str, tuple[WitnessSymbol, ...]]
+NamedEntries = Sequence[tuple[str, SparsePoly]]
 
 
 BUILD_BUDGET = 200_000
@@ -68,6 +71,20 @@ def _check_budget(cells: int, degree: int, monomials: int, nvars: int) -> None:
         raise ValueError(
             f"{cells} cells of degree {degree} and {monomials} monomials in "
             f"{nvars} variables cost {cost}, over the build budget of {BUILD_BUDGET}"
+        )
+
+
+def check_custom_budget(factors: Sequence[int], terms: Sequence[LineBundleSum]) -> None:
+    """Refuse a custom spec over BUILD_BUDGET before its ring or maps exist: it
+    costs the cells of f and g, its term ranks times the factor count (the
+    label width), and the ring's variable count."""
+    ra, rm, rc = (term.rank for term in terms)
+    nvars = sum(n + 1 for n in factors)
+    cost = rm * (ra + rc) + (ra + rm + rc) * len(factors) + nvars
+    if cost > BUILD_BUDGET:
+        raise ValueError(
+            f"term ranks {ra}, {rm}, {rc} over {len(factors)} factors in {nvars} "
+            f"variables cost {cost}, over the build budget of {BUILD_BUDGET}"
         )
 
 
@@ -122,8 +139,9 @@ class MonadSpec:
     map_f: A -> M and map_g: M -> C are stored rows = target summands,
     columns = source summands, so the composite is always mat_mul(g, f).
     Row/column labels must equal the corresponding term's expanded degree
-    lists.  witness_families are the ordered symbol families used for rank
-    witnesses; each family must be pointwise nonvanishing on the space.
+    lists.  witness_families are the ordered symbol families for rank
+    witnesses, and witnesses the ("f" or "g", witness) pairs that
+    `verify_monad` checks for the family symbols they name.
     """
 
     family: str
@@ -135,10 +153,11 @@ class MonadSpec:
     map_f: MonadMatrix
     map_g: MonadMatrix
     params: tuple[tuple[str, object], ...]
-    witness_families: tuple[WitnessFamily, ...]
     default_polarization: MultiDegree
     default_constraint: str  # "per-group-negative" | "total-negative"
     notes: tuple[str, ...] = ()
+    witness_families: tuple[WitnessFamily, ...] = ()
+    witnesses: tuple[tuple[str, TriangularWitness], ...] = ()
 
     def __post_init__(self):
         ra, rm, rc = self.term_a.rank, self.term_m.rank, self.term_c.rank
@@ -177,30 +196,48 @@ def _ladder(
     k: int,
     deg_a: MultiDegree,
     deg_c: MultiDegree,
-    blocks: Sequence[tuple[MultiDegree, list[SparsePoly], list[SparsePoly]]],
-) -> tuple[LineBundleSum, MonadMatrix, MonadMatrix]:
-    """The middle term and the maps f, g of k shifted copies of ladder blocks.
+    blocks: Sequence[tuple[MultiDegree, NamedEntries, NamedEntries]],
+) -> tuple[LineBundleSum, MonadMatrix, MonadMatrix, tuple[tuple[str, TriangularWitness], ...]]:
+    """The middle term, the maps f, g and the rank witnesses of k shifted copies of ladder blocks.
 
     A block (deg, e_0..e_t, h_0..h_t) takes t+k middle summands of degree
-    `deg`.  Row j of g carries e_0..e_t from the block's column j; column j
-    of f carries h_t..h_0 down from the block's row j.  Entry (i, j) of g*f
-    then sums e_s * h_{t-s+j-i} over each block, so a block (e, h) followed
-    by one with entry products -h_s * e_r, such as (h, -e) or (-h, e),
-    cancels in g*f for every k.
+    `deg`; each entry comes with the name of the witness symbol it is a
+    power of.  Row j of g carries e_0..e_t from the block's column j; column
+    j of f carries h_t..h_0 down from the block's row j.  Entry (i, j) of
+    g*f then sums e_s * h_{t-s+j-i} over each block, so a block (e, h)
+    followed by one with entry products -h_s * e_r, such as (h, -e) or
+    (-h, e), cancels in g*f for every k.
+
+    With `off` the block's first middle summand, e_s heads the staircase of
+    g on rows 0..k-1 and columns off+s.., h_s the one of f on rows
+    off+t-s.. and columns 0..k-1; below the diagonal sit the block's
+    entries s-k+1..s-1 and zeros, so those names are the guards.
     """
+    def staircase(names: tuple[str, ...], s: int, rows: tuple, cols: tuple) -> TriangularWitness:
+        guards = names[max(0, s - k + 1) : s]
+        return TriangularWitness(names[s], rows, cols, not guards, guards)
+
     pad = [ring.zero()] * (k - 1)
     g_rows = [[] for _ in range(k)]
     f_cols = [[] for _ in range(k)]
     labels = []
+    witnesses = []
+    diagonal = tuple(range(k))
     for deg, e, h in blocks:
+        off, t = len(labels), len(e) - 1
+        (e_names, e_polys), (h_names, h_polys) = zip(*e), zip(*h)
         for j in range(k):
-            g_rows[j] += pad[:j] + e + pad[j:]
-            f_cols[j] += pad[:j] + h[::-1] + pad[j:]
-        labels += [deg] * (len(e) - 1 + k)
+            g_rows[j] += [*pad[:j], *e_polys, *pad[j:]]
+            f_cols[j] += [*pad[:j], *h_polys[::-1], *pad[j:]]
+        labels += [deg] * (t + k)
+        window = tuple(range(off, off + t + k))  # the block's middle summands
+        for s in range(t + 1):
+            witnesses.append(("g", staircase(e_names, s, diagonal, window[s : s + k])))
+            witnesses.append(("f", staircase(h_names, s, window[t - s : t - s + k], diagonal)))
     term_m = LineBundleSum([(deg, len(e) - 1 + k) for deg, e, _ in blocks])
     map_g = MonadMatrix(ring, g_rows, [deg_c] * k, labels)
     map_f = MonadMatrix(ring, zip(*f_cols), labels, [deg_a] * k)
-    return term_m, map_f, map_g
+    return term_m, map_f, map_g, tuple(witnesses)
 
 
 def build_section3(space: ProductSpace, k: int) -> MonadSpec:
@@ -230,19 +267,17 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
     ring = CoordinateRing(factors)
     # mixed-radix order: the first factor most significant, the last fastest
     coords = itertools.product(*(range(n + 1) for n in factors))
-    segre = [SparsePoly(ring, {ring.unit_monomial(enumerate(c)): 1}) for c in coords]
-    half = len(segre) // 2
+    monomials = [ring.unit_monomial(enumerate(c)) for c in coords]
+    half = len(monomials) // 2
+    symbols = tuple(
+        WitnessSymbol(name=(f"x{t}" if t < half else f"y{t - half}"), monomial=mono)
+        for t, mono in enumerate(monomials)
+    )
+    segre = [(s.name, SparsePoly(ring, {s.monomial: 1})) for s in symbols]
     x, y = segre[:half], segre[half:]
     ones, zeros, neg_ones = (1,) * l, (0,) * l, (-1,) * l
-    term_m, map_f, map_g = _ladder(
-        ring, k, neg_ones, ones, [(zeros, x, [-p for p in y]), (zeros, y, x)]
-    )
-    symbols = tuple(
-        WitnessSymbol(
-            name=(f"x{t}" if t < half else f"y{t - half}"),
-            monomial=next(iter(z.terms)),
-        )
-        for t, z in enumerate(segre)
+    term_m, map_f, map_g, witnesses = _ladder(
+        ring, k, neg_ones, ones, [(zeros, x, [(name, -p) for name, p in y]), (zeros, y, x)]
     )
 
     return MonadSpec(
@@ -256,6 +291,7 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
         map_g=map_g,
         params=(("dims", factors), ("k", k)),
         witness_families=(("segre", symbols),),
+        witnesses=witnesses,
         default_polarization=ones,
         default_constraint="per-group-negative",
         notes=(
@@ -295,11 +331,12 @@ def build_section4(
     blocks = []
     for i in (0, 2, 4):
         first, second = (
-            [ring.variable(f, s) ** c_deg[f] for s in range(factors[f] + 1)] for f in (i, i + 1)
+            [(f"{letters[f]}{s}", ring.variable(f, s) ** c_deg[f]) for s in range(factors[f] + 1)]
+            for f in (i, i + 1)
         )
-        for f, e, h in ((i, first, second), (i + 1, second, [-p for p in first])):
+        for f, e, h in ((i, first, second), (i + 1, second, [(n, -p) for n, p in first])):
             blocks.append((tuple(a_deg[f] if j == f else 0 for j in range(6)), e, h))
-    term_m, map_f, map_g = _ladder(ring, k, a_deg, c_deg, blocks)
+    term_m, map_f, map_g, witnesses = _ladder(ring, k, a_deg, c_deg, blocks)
 
     families = tuple(
         (
@@ -326,6 +363,7 @@ def build_section4(
             ("alpha", alpha), ("beta", beta), ("gamma", gamma), ("k", k),
         ),
         witness_families=families,
+        witnesses=witnesses,
         default_polarization=c_deg,
         default_constraint="total-negative",
         notes=(
@@ -337,10 +375,8 @@ def build_section4(
 
 def zero_map(ring: CoordinateRing, target: LineBundleSum, source: LineBundleSum) -> MonadMatrix:
     """The zero map source -> target over `ring`, labelled with the terms' degrees."""
-    zero = ring.zero()
-    return MonadMatrix(
-        ring, [[zero] * source.rank for _ in range(target.rank)], target.degrees(), source.degrees()
-    )
+    row = [ring.zero()] * source.rank
+    return MonadMatrix(ring, [row] * target.rank, target.degrees(), source.degrees())
 
 
 def custom_monad(
@@ -353,17 +389,19 @@ def custom_monad(
     map_g: MonadMatrix | None = None,
     polarization: MultiDegree | None = None,
     constraint: str = "per-group-negative",
-    witness_families: tuple[WitnessFamily, ...] = (),
     notes: tuple[str, ...] = (),
 ) -> MonadSpec:
     """Wrap explicit terms (and optional matrices) as a MonadSpec.
 
     Omitted maps default to zero matrices of the right shape; such a spec
-    supports display and certificate arithmetic but will not verify.
+    supports display and certificate arithmetic but will not verify.  The
+    spec has no witness families or witnesses; attach them with
+    `dataclasses.replace`.  Specs over BUILD_BUDGET are refused.
     """
     slug = re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
     if not slug:
         raise ValueError("name must contain at least one alphanumeric character")
+    check_custom_budget(space.factors, (term_a, term_m, term_c))
     ring = map_f.ring if map_f is not None else (
         map_g.ring if map_g is not None else CoordinateRing(space.factors)
     )
@@ -383,7 +421,6 @@ def custom_monad(
         map_f=map_f,
         map_g=map_g,
         params=(("name", slug),),
-        witness_families=witness_families,
         default_polarization=tuple(polarization),
         default_constraint=constraint,
         notes=notes,
@@ -430,6 +467,7 @@ def _map_evidence(
     name: str,
     required_rank: int,
     families: Sequence[WitnessFamily],
+    listed: dict[tuple[str, str], TriangularWitness],
     prime: int,
     trials: int,
     seed: int,
@@ -439,12 +477,14 @@ def _map_evidence(
         for fam_name, symbols in families:
             witnesses = []
             missing = []
+            earlier: dict[str, Monomial] = {}
             for sym in symbols:
-                w = triangular_witness(matrix, sym, required_rank, symbols)
-                if w is None:
-                    missing.append(sym.name)
-                else:
+                w = listed.get((name, sym.name))
+                if w is not None and triangular_witness(matrix, w, required_rank, sym, earlier):
                     witnesses.append(w)
+                else:
+                    missing.append(sym.name)
+                earlier.setdefault(sym.name, sym.monomial)
             covers.append(
                 FamilyCover(fam_name, tuple(witnesses), tuple(missing), not missing)
             )
@@ -473,14 +513,17 @@ def verify_monad(
     """Check the monad conditions exactly and assemble the evidence.
 
     Composite vanishing is symbolic.  Maximal rank everywhere is certified
-    per map when some ordered witness family is fully covered: at any point
-    of the space the first nonvanishing family symbol's witness is
-    triangular with unit diagonal there.  A family whose symbols all vanish
-    at some point cannot cover; it is left out, with a note naming the
-    point, and so is a family the bounded common-zero search cannot decide.  Randomized evaluation corroborates at `trials` sample points;
-    failures are reported, never raised.
+    per map when some ordered witness family is fully covered, each of its
+    symbols by a witness in `spec.witnesses` that `triangular_witness`
+    accepts: at any point of the space the first nonvanishing family
+    symbol's witness is triangular with unit diagonal there.  A family
+    whose symbols all vanish at some point cannot cover; it is left out,
+    with a note naming the point, and so is a family the bounded
+    common-zero search cannot decide.  Randomized evaluation corroborates
+    at `trials` sample points; failures are reported, never raised.
     """
     composite = mat_mul(spec.map_g, spec.map_f)
+    listed = {(map_name, w.symbol): w for map_name, w in spec.witnesses}
     families = []
     notes = list(spec.notes)
     for family in spec.witness_families:
@@ -500,8 +543,8 @@ def verify_monad(
                 for n, live in zip(spec.ring.factors, zero)
             )
             notes.append(f"witness family {family[0]!r} not used: every symbol vanishes at {point}")
-    ev_f = _map_evidence(spec.map_f, "f", spec.term_a.rank, families, prime, trials, seed)
-    ev_g = _map_evidence(spec.map_g, "g", spec.term_c.rank, families, prime, trials, seed)
+    ev_f = _map_evidence(spec.map_f, "f", spec.term_a.rank, families, listed, prime, trials, seed)
+    ev_g = _map_evidence(spec.map_g, "g", spec.term_c.rank, families, listed, prime, trials, seed)
     valid = (
         composite.is_zero()
         and ev_f.cover_complete

@@ -4,7 +4,8 @@ Each oracle computes by enumeration or by a different route from the code it
 checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
 truncated polynomial ring, ranks come from Gauss-Jordan on matrices
-evaluated entry by entry, common zeros are sought at every point over F_2.
+evaluated entry by entry, common zeros are sought at every point over F_2,
+triangular witnesses are searched for over the whole matrix.
 `selftest` runs SUITES; the tests call the same oracles and check functions
 with their own seeds and ranges.  A check function raises AssertionError on
 the first disagreement.
@@ -21,8 +22,17 @@ from typing import Iterator, Sequence
 
 from .certify import TwistMode, vanishing_all_twists
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
-from .monad import build_section3, build_section4, nu, verify_monad
-from .polyring import CoordinateRing, Monomial, MonadMatrix, RankEvidence, common_zero
+from .monad import MonadSpec, build_section3, build_section4, nu, verify_monad
+from .polyring import (
+    CoordinateRing,
+    Monomial,
+    MonadMatrix,
+    RankEvidence,
+    SparsePoly,
+    TriangularWitness,
+    WitnessSymbol,
+    common_zero,
+)
 from .space import MultiDegree, ProductSpace
 
 
@@ -201,6 +211,81 @@ def has_common_zero_by_points(ring: CoordinateRing, monomials: Sequence[Monomial
     return False
 
 
+def pure_power_exponent(poly: SparsePoly, base: Monomial) -> int | None:
+    """e >= 1 with poly == c * base^e for a nonzero integer c, or None."""
+    if len(poly.terms) != 1:
+        return None
+    mono = next(iter(poly.terms))
+    i0 = next((i for i, b in enumerate(base) if b), None)
+    if i0 is None:
+        return None
+    e, rem = divmod(mono[i0], base[i0])
+    if rem or e < 1 or mono != tuple(e * b for b in base):
+        return None
+    return e
+
+
+def witness_by_scan(
+    m: MonadMatrix, symbol: WitnessSymbol, k: int, family: Sequence[WitnessSymbol]
+) -> TriangularWitness | None:
+    """The first k x k guarded-triangular submatrix with `symbol` on its diagonal.
+
+    Backtracks over every entry that is a pure power of `symbol`, in
+    row-major order; an entry below the diagonal must be zero or a pure
+    power of a family symbol before `symbol`, the earliest of which is
+    recorded as a guard.  The reference for the witnesses the builders lay
+    out and `polyring.triangular_witness` checks.
+    """
+    names = [s.name for s in family]
+    earlier = family[: names.index(symbol.name)]
+
+    def guard_of(poly):
+        if poly.is_zero():
+            return True, None
+        for s in earlier:
+            if pure_power_exponent(poly, s.monomial) is not None:
+                return True, s.name
+        return False, None
+
+    positions = [
+        (r, c)
+        for r in range(m.nrows)
+        for c in range(m.ncols)
+        if pure_power_exponent(m.entries[r][c], symbol.monomial) is not None
+    ]
+    chosen, guards = [], []
+
+    def extend(start):
+        if len(chosen) == k:
+            return True
+        for i in range(start, len(positions)):
+            r, c = positions[i]
+            if any(r == ra or c == ca for ra, ca in chosen):
+                continue
+            new_guards = []
+            for _, ca in chosen:
+                good, g = guard_of(m.entries[r][ca])
+                if not good:
+                    break
+                if g is not None:
+                    new_guards.append(g)
+            else:
+                chosen.append((r, c))
+                guards.extend(new_guards)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+                del guards[len(guards) - len(new_guards):]
+        return False
+
+    if len(positions) < k or not extend(0):
+        return None
+    dedup = tuple(sorted(set(guards), key=names.index))
+    return TriangularWitness(
+        symbol.name, tuple(r for r, _ in chosen), tuple(c for _, c in chosen), not dedup, dedup
+    )
+
+
 # ---------------------------------------------------------------------------
 # check functions
 
@@ -329,10 +414,31 @@ def check_common_zero(seed: int, draws: int) -> None:
             ), f"{zero} is no common zero of {family}"
 
 
+def check_built_witnesses(spec: MonadSpec) -> None:
+    """Each witness a builder lays out is the one the reference scan finds.
+
+    Every symbol of every family has exactly one listed witness per map of
+    nonzero rank, and no other witness is listed.
+    """
+    listed = {(name, w.symbol): w for name, w in spec.witnesses}
+    assert len(listed) == len(spec.witnesses), f"{spec.instance_id}: a witness listed twice"
+    seen = set()
+    for name, matrix, k in (("f", spec.map_f, spec.term_a.rank), ("g", spec.map_g, spec.term_c.rank)):
+        for _, family in spec.witness_families:
+            for symbol in family:
+                want = witness_by_scan(matrix, symbol, k, family)
+                got = listed.get((name, symbol.name))
+                assert got == want, f"{spec.instance_id} {name} {symbol.name}: {got} != {want}"
+                seen.add((name, symbol.name))
+    assert seen == set(listed), f"{spec.instance_id}: witnesses for no family symbol"
+
+
 def check_monads() -> None:
-    """The smallest instance of each built family verifies as a monad."""
-    assert verify_monad(build_section3(ProductSpace((1, 1)), 1)).valid
-    assert verify_monad(build_section4(1, 1, 1, 1, 1, 1, 1)).valid
+    """The smallest instance of each built family verifies as a monad, with
+    the witnesses the reference scan finds."""
+    for spec in build_section3(ProductSpace((1, 1)), 1), build_section4(1, 1, 1, 1, 1, 1, 1):
+        assert verify_monad(spec).valid, spec.instance_id
+        check_built_witnesses(spec)
 
 
 SUITES = (

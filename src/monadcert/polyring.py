@@ -3,14 +3,13 @@
 Variables live in per-factor blocks over a product of projective spaces.
 Matrices carry per-row/per-column multidegree labels; nonzero entries of a
 well-labeled matrix have multidegree row_label - col_label.  Rank support is
-twofold, mirroring how such matrices are argued about: exact triangular
-witnesses (symbolic, pointwise-sound) and randomized evaluation over a large
-prime field.
+twofold, mirroring how such matrices are argued about: an exact check of
+triangular witnesses (symbolic, pointwise-sound) and randomized evaluation
+over a large prime field.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from operator import add, sub
@@ -147,20 +146,6 @@ def _add_products(terms: dict[Monomial, int], f: Mapping[Monomial, int], g: Mapp
             terms[m] = terms.get(m, 0) + c1 * c2
 
 
-def _power_bases(mono: Monomial) -> tuple[Monomial, ...]:
-    """Every base b with mono == b^e for some e >= 1.
-
-    These are mono / d for each divisor d of the gcd of the exponents; the
-    unit monomial (gcd 0) has none.
-    """
-    g = math.gcd(*mono)
-    if g == 1:
-        return (mono,)
-    divisors = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
-    divisors += [g // d for d in divisors if d * d != g]
-    return tuple(tuple(x // d for x in mono) for d in divisors)
-
-
 class SparsePoly:
     """Polynomial as a map monomial -> nonzero integer coefficient."""
 
@@ -212,6 +197,9 @@ class SparsePoly:
     def __pow__(self, e: int) -> "SparsePoly":
         if e < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            (mono, coeff), = self.terms.items()
+            return SparsePoly(self.ring, {tuple(e * x for x in mono): coeff ** e})
         out = self.ring.one()
         for _ in range(e):
             out = out * self
@@ -285,9 +273,7 @@ class MonadMatrix:
         for lab in self.row_labels + self.col_labels:
             if len(lab) != l:
                 raise ValueError(f"label {lab} has wrong length, expected {l}")
-        self._powers = None
         self._plan = None
-        self._family = None
 
     @property
     def nrows(self) -> int:
@@ -398,49 +384,6 @@ class MonadMatrix:
                 line[pos] = sum(coeff * values[i] for i, coeff in terms) % p
             out.append(line)
         return out
-
-    def _power_index(
-        self,
-    ) -> tuple[dict[Monomial, list[tuple[int, int]]], dict[tuple[int, int], tuple[Monomial, ...]]]:
-        """Single-term entries c * b^e (e >= 1) by base b, built once per matrix.
-
-        Returns (b -> positions in row-major order, position -> its bases);
-        see `_power_bases`.
-        """
-        if self._powers is None:
-            by_base: dict[Monomial, list[tuple[int, int]]] = {}
-            bases_at: dict[tuple[int, int], tuple[Monomial, ...]] = {}
-            for r, row in enumerate(self.entries):
-                for c, e in enumerate(row):
-                    if len(e.terms) != 1:
-                        continue
-                    bases = _power_bases(next(iter(e.terms)))
-                    bases_at[r, c] = bases
-                    for base in bases:
-                        by_base.setdefault(base, []).append((r, c))
-            self._powers = by_base, bases_at
-        return self._powers
-
-    def _family_index(
-        self, family: Sequence["WitnessSymbol"]
-    ) -> tuple[dict[Monomial, int], dict[str, int]]:
-        """First index in `family` of each monomial and of each name.
-
-        The last family asked for is kept on the matrix, so the searches for
-        every symbol of a family share one O(len(family)) setup.  A family
-        that is not a tuple is copied into one, so its later mutation cannot
-        reach the kept maps.
-        """
-        if not isinstance(family, tuple):
-            family = tuple(family)
-        if self._family is None or self._family[0] is not family:
-            first_of_mono: dict[Monomial, int] = {}
-            first_of_name: dict[str, int] = {}
-            for i, s in enumerate(family):
-                first_of_mono.setdefault(s.monomial, i)
-                first_of_name.setdefault(s.name, i)
-            self._family = family, first_of_mono, first_of_name
-        return self._family[1], self._family[2]
 
 
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
@@ -644,78 +587,51 @@ class TriangularWitness:
     guards: tuple[str, ...]
 
 
+def _is_power(poly: SparsePoly, base: Monomial) -> bool:
+    """Whether `poly` is c * base^e for some integer c != 0 and e >= 1."""
+    if len(poly.terms) != 1:
+        return False
+    (mono,) = poly.terms
+    if mono == base:
+        return any(base)
+    e = next((x // b for x, b in zip(mono, base) if b), 0)
+    return e >= 2 and mono == tuple(e * b for b in base)
+
+
 def triangular_witness(
     m: MonadMatrix,
-    symbol: WitnessSymbol,
+    witness: TriangularWitness,
     k: int,
-    family: Sequence[WitnessSymbol],
+    symbol: WitnessSymbol,
+    earlier: Mapping[str, Monomial],
 ) -> TriangularWitness | None:
-    """Search for a k x k guarded-triangular submatrix with `symbol` on the diagonal.
+    """`witness` if it is a guarded-triangular k x k submatrix for `symbol`, else None.
 
-    `family` is the ordered symbol list `symbol` belongs to; entries below the
-    diagonal may be pure powers of earlier family members (recorded as guards).
-    Returns None when no witness exists (e.g. the zero matrix).
+    `earlier` maps the names of the family symbols before `symbol` to their
+    monomials; every guard must be one of them.  The check makes O(k^2)
+    entry lookups: k distinct rows and columns in range, each diagonal entry
+    a pure power of the symbol, each entry below the diagonal zero or a pure
+    power of a listed guard, and `strict` exactly when no guard is listed.
     """
     if k < 1 or k > min(m.nrows, m.ncols):
         raise ValueError(f"target rank {k} out of range for {m.nrows}x{m.ncols}")
-    first_of_mono, first_of_name = m._family_index(family)
-    s_idx = first_of_name.get(symbol.name)
-    if s_idx is None:
-        names = [s.name for s in family]
-        raise ValueError(f"symbol {symbol.name} not in family {names}")
-    by_base, bases_at = m._power_index()
-
-    def guard_of(r: int, c: int) -> tuple[bool, str | None]:
-        # the earliest earlier symbol that the entry is a pure power of
-        if m.entries[r][c].is_zero():
-            return True, None
-        hits = [first_of_mono.get(b, s_idx) for b in bases_at.get((r, c), ())]
-        first = min(hits, default=s_idx)
-        if first < s_idx:
-            return True, family[first].name
-        return False, None
-
-    positions = by_base.get(symbol.monomial, ())
-    if len(positions) < k:
+    rows, cols = witness.rows, witness.cols
+    guards = [earlier.get(name) for name in witness.guards]
+    if (
+        witness.symbol != symbol.name
+        or witness.strict != (not guards)
+        or None in guards
+        or not all(
+            len(cells) == len(set(cells)) == k and all(i in range(size) for i in cells)
+            for cells, size in ((rows, m.nrows), (cols, m.ncols))
+        )
+    ):
         return None
-
-    chosen: list[tuple[int, int]] = []
-    guards: list[str] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(positions)):
-            r, c = positions[i]
-            if any(r == ra or c == ca for ra, ca in chosen):
-                continue
-            # the new pair becomes the next diagonal element; entries under it
-            # sit in the earlier diagonal columns
-            new_guards = []
-            ok = True
-            for _, ca in chosen:
-                good, g = guard_of(r, ca)
-                if not good:
-                    ok = False
-                    break
-                if g is not None:
-                    new_guards.append(g)
-            if not ok:
-                continue
-            chosen.append((r, c))
-            guards.extend(new_guards)
-            if extend(i + 1):
-                return True
-            chosen.pop()
-            for _ in new_guards:
-                guards.pop()
-        return False
-
-    if not extend(0):
-        return None
-    rows = tuple(r for r, _ in chosen)
-    cols = tuple(c for _, c in chosen)
-    dedup = tuple(sorted(set(guards), key=first_of_name.__getitem__))
-    return TriangularWitness(
-        symbol=symbol.name, rows=rows, cols=cols, strict=not dedup, guards=dedup
-    )
+    for i, r in enumerate(rows):
+        row = m.entries[r]
+        if not _is_power(row[cols[i]], symbol.monomial):
+            return None
+        for c in cols[:i]:
+            if row[c].terms and not any(_is_power(row[c], g) for g in guards):
+                return None
+    return witness

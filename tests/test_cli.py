@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monadcert import cli
 from monadcert.cli import main
 
 
@@ -461,38 +463,36 @@ def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --copies is required for family section3\n"
 
 
-# SHA-256 of documents for small instances, as recorded in the benchmark's
-# expected.json at seed 0 (the CLI's default): a change of serialization shows here
-PINNED_DIGESTS = (
-    (("build", "--family", "section3", "--copies", "1,1", "--k", "1"), {
-        "section3-dims1x3-k1.build.json":
-            "11b0ddd7c8d54d057cd4478c6450e14955ea8dd444ca38b0219ca3dd67378c28",
-    }),
-    (("verify", "--family", "section3", "--copies", "1,1", "--k", "1"), {
-        "section3-dims1x3-k1.report.json":
-            "a651e0538728264416de67e3d59fe807b9c85bace77b77f7b13d02365902ea8a",
-    }),
-    (("certify-simplicity", "--family", "section3", "--copies", "1,1", "--k", "1"), {
-        "section3-dims1x3-k1.simplicity.json":
-            "9968cc1e3903964e5ba344d12c72adc8dbf84c422a2123747f41b4ae68154aa7",
-        "section3-dims1x3-k1.stability.json":
-            "e3c44becb70266e7fe4fe2ab12551674018cee7fe469e1513454570ed6727eed",
-    }),
-    (("certify-stability", "--family", "section4", "--n", "1", "--m", "1", "--l", "1",
-      "--alpha", "1", "--beta", "1", "--gamma", "1", "--k", "1",
-      "--constraint", "per-group-negative"), {
-        "section4-n1-m1-l1-alpha1-beta1-gamma1-k1.stability.json":
-            "1a740275234331c97697bb001c5b80f844552dd25d124e2c042aafdb00a827dc",
-    }),
-)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_workloads():
+    # loaded from its file and not changed; its dataclass needs the module registered
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def test_documents_match_pinned_digests(tmp_path):
-    for i, (argv, digests) in enumerate(PINNED_DIGESTS):
-        out = tmp_path / str(i)
-        run(*argv, "--out-dir", str(out))
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert got == digests, argv
+    # every benchmark job at seed 0 (the CLI's default), run once: its exit code
+    # and the SHA-256 of each document it writes, as perfbench/expected.json
+    # records them, so a change of any result or of serialization shows here
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert expected["seed"] == 0
+    workloads = _benchmark_workloads()
+    assert sorted(workloads) == sorted(k for k in expected if k != "seed")
+    for name, make_jobs in workloads.items():
+        jobs = make_jobs(0)
+        want = expected[name]["jobs"]
+        assert sorted(job.key for job in jobs) == sorted(want), name
+        for i, job in enumerate(jobs):
+            out = tmp_path / name / str(i)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(job.argv(str(out)))
+            assert code == want[job.key]["exit"], job.key
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert got == want[job.key]["docs"], job.key
 
 
 SECTION_DOCS = (
@@ -633,3 +633,49 @@ def test_over_budget_sizes_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {doc['instance']['family']} parameters: ")
         assert "over the build budget" in err and err.count("\n") == 1
+
+
+# custom specs just past the same budget, charged as the cells of f and g, plus
+# the term ranks times the factor count, plus the ring's variable count: 200001
+# variables; 199999 middle summands on P^1 (plus 2 variables); 99999 cells of f
+# with 100000 summands in all
+OVER_BUDGET_CUSTOM = (
+    {"factors": [200000], "terms": {}},
+    {"factors": [1], "terms": {"m": [[[0], 199999]]}},
+    {"factors": [1], "terms": {"a": [[[-1], 1]], "m": [[[0], 99999]]}},
+)
+
+
+def _no_ring(*args, **kwargs):
+    raise AssertionError("the ring was built before the budget check")
+
+
+def test_custom_specs_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # recheck rebuilds a custom instance block by the same path as a spec file
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(COUNTEREXAMPLE))
+    assert run("build", "--family", "custom", "--spec-file", str(path),
+               "--out-dir", str(tmp_path / "doc")) == 0
+    (doc_path,) = (tmp_path / "doc").iterdir()
+    doc = json.loads(doc_path.read_text())
+    # refused from the parameters alone, before the ring or a map is built
+    monkeypatch.setattr(cli, "CoordinateRing", _no_ring)
+    for spec in OVER_BUDGET_CUSTOM:
+        spec = dict(spec, name="big")
+        path.write_text(json.dumps(spec))
+        doc["instance"] = dict(spec, family="custom")
+        doc_path.write_text(json.dumps(doc, indent=2) + "\n")
+        for argv in (("build", "--family", "custom", "--spec-file", str(path),
+                      "--out-dir", str(tmp_path / "out")), ("recheck", str(doc_path))):
+            capsys.readouterr()
+            assert run(*argv) == 2, (argv, spec)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.endswith("over the build budget of 200000\n"), err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    # one variable fewer fits, under build and recheck
+    path.write_text(json.dumps({"name": "fits", "factors": [199999], "terms": {}}))
+    assert run("build", "--family", "custom", "--spec-file", str(path),
+               "--out-dir", str(tmp_path / "out")) == 0
+    assert run("recheck", str(tmp_path / "out" / "custom-fits.build.json")) == 0

@@ -27,7 +27,13 @@ from monadcert.monad import (
     nu,
     verify_monad,
 )
-from monadcert.polyring import CoordinateRing, MonadMatrix, WitnessSymbol, mat_mul
+from monadcert.polyring import (
+    CoordinateRing,
+    MonadMatrix,
+    TriangularWitness,
+    WitnessSymbol,
+    mat_mul,
+)
 from monadcert.space import ProductSpace
 
 
@@ -359,15 +365,18 @@ def test_verify_refuses_family_with_common_zero():
     r = CoordinateRing((1,))
     f = MonadMatrix(r, [[r.variable(0, 0)]], [(0,)], [(-1,)])
     g = MonadMatrix(r, [], [], [(0,)])
-    spec = custom_monad(
-        "x0 only",
-        ProductSpace((1,)),
-        LineBundleSum([((-1,), 1)]),
-        LineBundleSum([((0,), 1)]),
-        LineBundleSum([]),
-        map_f=f,
-        map_g=g,
+    spec = dataclasses.replace(
+        custom_monad(
+            "x0 only",
+            ProductSpace((1,)),
+            LineBundleSum([((-1,), 1)]),
+            LineBundleSum([((0,), 1)]),
+            LineBundleSum([]),
+            map_f=f,
+            map_g=g,
+        ),
         witness_families=(("x0only", (WitnessSymbol("x0", (1, 0)),)),),
+        witnesses=(("f", TriangularWitness("x0", (0,), (0,), True, ())),),
     )
     rep = verify_monad(spec, trials=3)
     assert rep.map_f.rank_matches  # random points miss the zero of x0
@@ -398,6 +407,37 @@ def test_custom_monad_ids_and_defaults():
     assert spec.map_f.is_zero() and spec.map_g.is_zero()
     assert spec.default_polarization == (1, 1)
     assert spec.default_constraint == "per-group-negative"
+
+
+def test_custom_monad_refuses_over_budget():
+    # cells of f and g, term ranks times factor count, and ring variables
+    space = ProductSpace((1,))
+    a, c = LineBundleSum([((-1,), 1)]), LineBundleSum([])
+    fits = (BUILD_BUDGET - 2 - 1) // 2  # middle rank: cells + ranks + variables
+    spec = custom_monad("edge", space, a, LineBundleSum([((0,), fits)]), c)
+    assert spec.map_f.nrows == fits and spec.map_f.is_zero()
+    with pytest.raises(ValueError, match="over the build budget"):
+        custom_monad("over", space, a, LineBundleSum([((0,), fits + 1)]), c)
+    with pytest.raises(ValueError, match="over the build budget"):
+        custom_monad("wide", ProductSpace((BUILD_BUDGET,)), c, c, c)
+
+
+def test_verify_checks_listed_witnesses():
+    spec = build_section3(ProductSpace((1, 1)), 2)
+    assert verify_monad(spec, trials=3).valid
+    # a witness moved one column over no longer has its symbol on the diagonal
+    (i,) = [i for i, (name, w) in enumerate(spec.witnesses) if (name, w.symbol) == ("g", "x1")]
+    name, w = spec.witnesses[i]
+    moved = dataclasses.replace(w, cols=tuple(c + 1 for c in w.cols))
+    tampered = dataclasses.replace(
+        spec, witnesses=spec.witnesses[:i] + ((name, moved),) + spec.witnesses[i + 1 :]
+    )
+    rep = verify_monad(tampered, trials=3)
+    assert rep.map_g.families[0].missing == ("x1",) and not rep.map_g.cover_complete
+    assert rep.map_f.cover_complete and not rep.valid
+    # without its witnesses the same monad is not certified
+    rep = verify_monad(dataclasses.replace(spec, witnesses=()), trials=3)
+    assert rep.map_f.families[0].complete is False and not rep.valid
 
 
 def test_monad_spec_rejects_mismatched_labels():

@@ -1,5 +1,6 @@
 """Sparse multigraded polynomials, matrices, and rank evidence."""
 
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,7 @@ from monadcert.polyring import (
     MonadMatrix,
     RankEvidence,
     SparsePoly,
+    TriangularWitness,
     WitnessSymbol,
     _rank_mod,
     common_zero,
@@ -146,6 +148,24 @@ def test_poly_ring_identities_random():
         assert (f + g).eval_mod(point, p) == (
             eval_direct(f, point, p) + eval_direct(g, point, p)
         ) % p
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(8333)
+    r = CoordinateRing((1, 2))
+    single = 0
+    for _ in range(120):
+        f = random_poly(rng, r, max_terms=rng.choice((1, 1, 3)))
+        single += len(f.terms) == 1
+        e = rng.randint(0, 6)
+        want = r.one()
+        for _ in range(e):
+            want = want * f
+        assert f ** e == want, (f, e)
+    assert single >= 30
+    x0 = r.variable(0, 0)
+    assert (-2 * x0) ** 3 == SparsePoly(r, {(3, 0, 0, 0, 0): -8})
+    assert (x0 ** 8333).terms == {(8333, 0, 0, 0, 0): 1}
 
 
 def test_poly_rejects_mixed_rings():
@@ -280,7 +300,7 @@ def test_rank_determinism_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# triangular witnesses
+# triangular witnesses: found by the reference scan, checked by the program
 
 
 def _witness_setup():
@@ -291,15 +311,25 @@ def _witness_setup():
     return r, x0, x1, (s0, s1)
 
 
+def _earlier(symbol, family):
+    # the names before `symbol` in its family, each with its first monomial
+    earlier = {}
+    for s in family[: [t.name for t in family].index(symbol.name)]:
+        earlier.setdefault(s.name, s.monomial)
+    return earlier
+
+
+def _check(m, w, k, symbol, family):
+    return triangular_witness(m, w, k, symbol, _earlier(symbol, family))
+
+
 def test_strict_witness_found():
     r, x0, x1, fam = _witness_setup()
     lab = [(0,)] * 2
     m = MonadMatrix(r, [[x0, x1], [r.zero(), x0]], lab, lab)
-    w = triangular_witness(m, fam[0], 2, fam)
-    assert w is not None
-    assert w.strict
-    assert w.guards == ()
-    assert len(w.rows) == 2 and len(w.cols) == 2
+    w = oracles.witness_by_scan(m, fam[0], 2, fam)
+    assert w == TriangularWitness("x0", (0, 1), (0, 1), True, ())
+    assert _check(m, w, 2, fam[0], fam) is w
 
 
 def test_guarded_witness():
@@ -308,12 +338,15 @@ def test_guarded_witness():
     # diagonal in x1, below-diagonal entry is a pure x0 power: x0 is earlier
     # in the family, so it vanishes on the locus the x1 witness certifies
     m = MonadMatrix(r, [[x1, r.zero()], [x0 * x0, x1]], lab, lab)
-    w = triangular_witness(m, fam[1], 2, fam)
-    assert w is not None
-    assert not w.strict
-    assert w.guards == ("x0",)
+    w = oracles.witness_by_scan(m, fam[1], 2, fam)
+    assert w == TriangularWitness("x1", (0, 1), (0, 1), False, ("x0",))
+    assert _check(m, w, 2, fam[1], fam) is w
+    # the guard must come before the symbol, and without it the cell is unguarded
+    assert triangular_witness(m, w, 2, fam[1], {}) is None
+    bare = dataclasses.replace(w, strict=True, guards=())
+    assert _check(m, bare, 2, fam[1], fam) is None
     # the same matrix has no witness for the first symbol
-    assert triangular_witness(m, fam[0], 2, fam) is None
+    assert oracles.witness_by_scan(m, fam[0], 2, fam) is None
 
 
 def test_witness_rejects_later_symbol_below_diagonal():
@@ -321,19 +354,25 @@ def test_witness_rejects_later_symbol_below_diagonal():
     lab = [(0,)] * 2
     # below-diagonal x1 power cannot guard an x0 witness: x1 need not vanish
     m = MonadMatrix(r, [[x0, r.zero()], [x1, x0]], lab, lab)
-    assert triangular_witness(m, fam[0], 2, fam) is None
+    assert oracles.witness_by_scan(m, fam[0], 2, fam) is None
+    for guards in ((), ("x1",)):
+        w = TriangularWitness("x0", (0, 1), (0, 1), not guards, guards)
+        assert _check(m, w, 2, fam[0], fam) is None
 
 
 def test_witness_validation():
     r, x0, x1, fam = _witness_setup()
     m = MonadMatrix(r, [[x0]], [(0,)], [(0,)])
+    w = TriangularWitness("x0", (0,), (0,), True, ())
+    assert _check(m, w, 1, fam[0], fam) is w
     with pytest.raises(ValueError):
-        triangular_witness(m, fam[0], 0, fam)
+        _check(m, w, 0, fam[0], fam)
     with pytest.raises(ValueError):
-        triangular_witness(m, fam[0], 2, fam)  # k exceeds matrix size
+        _check(m, w, 2, fam[0], fam)  # k exceeds matrix size
+    # a witness for another symbol, or one whose symbol is not on the diagonal
     stranger = WitnessSymbol("zz", (1, 0))
-    with pytest.raises(ValueError):
-        triangular_witness(m, stranger, 1, fam)
+    assert triangular_witness(m, w, 1, stranger, {}) is None
+    assert _check(m, dataclasses.replace(w, symbol="x1"), 1, fam[1], fam) is None
 
 
 def test_witness_on_band_matrix():
@@ -351,80 +390,12 @@ def test_witness_on_band_matrix():
         lab2,
         lab3,
     )
-    w0 = triangular_witness(band, fam[0], 2, fam)
-    assert w0 is not None and w0.strict
-    w1 = triangular_witness(band, fam[1], 2, fam)
-    assert w1 is not None
-
-
-# ---------------------------------------------------------------------------
-# indexed witness search and memoized evaluation against the plain scans
-
-
-def _pure_power_reference(poly, base):
-    # single term c * base^e with e >= 1, any nonzero integer c
-    if len(poly.terms) != 1:
-        return None
-    mono = next(iter(poly.terms))
-    i0 = next((i for i, b in enumerate(base) if b), None)
-    if i0 is None:
-        return None
-    e, rem = divmod(mono[i0], base[i0])
-    if rem or e < 1:
-        return None
-    if mono != tuple(e * b for b in base):
-        return None
-    return e
-
-
-def _witness_reference(m, symbol, k, family):
-    # the whole-matrix scan: every entry tested against every symbol
-    names = [s.name for s in family]
-    earlier = family[: names.index(symbol.name)]
-
-    def guard_of(poly):
-        if poly.is_zero():
-            return True, None
-        for s in earlier:
-            if _pure_power_reference(poly, s.monomial) is not None:
-                return True, s.name
-        return False, None
-
-    positions = [
-        (r, c)
-        for r in range(m.nrows)
-        for c in range(m.ncols)
-        if _pure_power_reference(m.entries[r][c], symbol.monomial) is not None
-    ]
-    chosen, guards = [], []
-
-    def extend(start):
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(positions)):
-            r, c = positions[i]
-            if any(r == ra or c == ca for ra, ca in chosen):
-                continue
-            new_guards = []
-            for _, ca in chosen:
-                good, g = guard_of(m.entries[r][ca])
-                if not good:
-                    break
-                if g is not None:
-                    new_guards.append(g)
-            else:
-                chosen.append((r, c))
-                guards.extend(new_guards)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                del guards[len(guards) - len(new_guards):]
-        return False
-
-    if len(positions) < k or not extend(0):
-        return None
-    dedup = tuple(sorted(set(guards), key=names.index))
-    return (tuple(r for r, _ in chosen), tuple(c for _, c in chosen), not dedup, dedup)
+    w0 = oracles.witness_by_scan(band, fam[0], 2, fam)
+    assert w0 == TriangularWitness("x0", (0, 1), (0, 1), True, ())
+    w1 = oracles.witness_by_scan(band, fam[1], 2, fam)
+    assert w1 == TriangularWitness("x1", (0, 1), (1, 2), False, ("x0",))
+    assert _check(band, w0, 2, fam[0], fam) is w0
+    assert _check(band, w1, 2, fam[1], fam) is w1
 
 
 def _random_witness_case(rng):
@@ -463,26 +434,69 @@ def _random_witness_case(rng):
     return m, symbol, k, family
 
 
-def test_indexed_witness_matches_full_scan():
+def _mutations(m, w, k, symbol, family, rng):
+    """Witnesses that differ from `w` in one way the checker must refuse."""
+    names = [s.name for s in family]
+    later = names[names.index(symbol.name):]  # the symbol itself included
+    for name in (rng.choice(later), "unknown"):
+        yield dataclasses.replace(w, strict=False, guards=w.guards + (name,))
+    yield dataclasses.replace(w, strict=not w.strict)
+    # move one diagonal cell to a column, outside the witness, that holds no
+    # power of the symbol
+    i = rng.randrange(k)
+    off = [c for c in range(m.ncols) if c not in w.cols
+           and oracles.pure_power_exponent(m.entries[w.rows[i]][c], symbol.monomial) is None]
+    if off:
+        yield dataclasses.replace(w, cols=w.cols[:i] + (rng.choice(off),) + w.cols[i + 1:])
+    for field, size in (("rows", m.nrows), ("cols", m.ncols)):
+        cells = getattr(w, field)
+        for bad in (-1, size):
+            yield dataclasses.replace(w, **{field: cells[:i] + (bad,) + cells[i + 1:]})
+        if k >= 2:
+            j = rng.choice([j for j in range(k) if j != i])
+            yield dataclasses.replace(w, **{field: cells[:j] + (cells[i],) + cells[j + 1:]})
+    yield dataclasses.replace(w, rows=w.rows[:-1], cols=w.cols[:-1])
+
+
+def test_checker_accepts_reference_witnesses_and_rejects_mutations():
     rng = random.Random(2718)
-    found = guarded = refused = 0
+    found = guarded = refused = dropped_needed = mutants = 0
     for _ in range(600):
         m, symbol, k, family = _random_witness_case(rng)
-        want = _witness_reference(m, symbol, k, family)
-        w = triangular_witness(m, symbol, k, family)
+        want = oracles.witness_by_scan(m, symbol, k, family)
         if want is None:
-            assert w is None
-            candidates = sum(_pure_power_reference(e, symbol.monomial) is not None
+            candidates = sum(oracles.pure_power_exponent(e, symbol.monomial) is not None
                              for row in m.entries for e in row)
             refused += candidates >= k  # some entry under the diagonal had no guard
             continue
-        assert w is not None
-        assert (w.rows, w.cols, w.strict, w.guards) == want
-        assert w.symbol == symbol.name
+        assert want.symbol == symbol.name
+        assert _check(m, want, k, symbol, family) is want
         found += 1
-        guarded += not w.strict
+        guarded += not want.strict
+        for bad in _mutations(m, want, k, symbol, family, rng):
+            assert _check(m, bad, k, symbol, family) is None, (want, bad)
+            mutants += 1
+        # the wrong k, for a witness of k cells
+        for other in (k - 1, k + 1):
+            if 1 <= other <= min(m.nrows, m.ncols):
+                assert _check(m, want, other, symbol, family) is None
+        # a dropped guard is refused exactly when some cell under the diagonal
+        # is a power of no guard left
+        earlier = {s.name: s.monomial for s in family}
+        for g in want.guards:
+            rest = tuple(x for x in want.guards if x != g)
+            needed = any(
+                not m.entries[r][c].is_zero() and all(
+                    oracles.pure_power_exponent(m.entries[r][c], earlier[x]) is None for x in rest
+                )
+                for i, r in enumerate(want.rows) for c in want.cols[:i]
+            )
+            dropped = dataclasses.replace(want, strict=not rest, guards=rest)
+            assert (_check(m, dropped, k, symbol, family) is None) == needed
+            dropped_needed += needed
     # the draws exercise strict and guarded witnesses and refused searches
     assert found - guarded >= 100 and guarded >= 50 and refused >= 50
+    assert dropped_needed >= 50 and mutants >= 1000
 
 
 def test_witness_guard_is_earliest_matching_symbol():
@@ -502,12 +516,17 @@ def test_witness_guard_is_earliest_matching_symbol():
         lab,
         lab,
     )
-    w = triangular_witness(m, fam[2], 2, fam)
+    w = oracles.witness_by_scan(m, fam[2], 2, fam)
     assert w.guards == ("x0",) and not w.strict
+    # either earlier symbol guards that cell
+    assert _check(m, w, 2, fam[2], fam) is w
+    assert _check(m, dataclasses.replace(w, guards=("x0^2",)), 2, fam[2], fam) is not None
     # x0^3 is a power of x0 but not of x0^2
     m3 = MonadMatrix(r, [[SparsePoly(r, {(3, 0): 1})]], [(0,)], [(0,)])
-    assert triangular_witness(m3, fam[0], 1, fam) is not None
-    assert triangular_witness(m3, fam[1], 1, fam) is None
+    assert oracles.witness_by_scan(m3, fam[0], 1, fam) is not None
+    assert oracles.witness_by_scan(m3, fam[1], 1, fam) is None
+    w3 = TriangularWitness("x0^2", (0,), (0,), True, ())
+    assert _check(m3, w3, 1, fam[1], fam) is None
 
 
 def test_matrix_eval_matches_entrywise_eval():
@@ -635,28 +654,10 @@ def test_mat_mul_matches_sum_of_products():
     assert mat_mul(spec.map_g, spec.map_f).is_zero()
 
 
-def test_witness_family_setup_is_per_family():
-    rng = random.Random(1618)
-    for _ in range(200):
-        m, symbol, k, family = _random_witness_case(rng)
-        # a second family on the same matrix: the pool reversed and renamed
-        other = tuple(WitnessSymbol(f"t{i}", s.monomial) for i, s in enumerate(reversed(family)))
-        fresh = lambda sym, fam: triangular_witness(
-            MonadMatrix(m.ring, m.entries, m.row_labels, m.col_labels), sym, k, fam
-        )
-        want = fresh(symbol, family)
-        want_other = [fresh(s, other) for s in other]
-        for _ in range(2):
-            # alternate the families, and rebuild the family tuple between calls
-            assert triangular_witness(m, symbol, k, family) == want
-            assert [triangular_witness(m, s, k, other) for s in other] == want_other
-            assert triangular_witness(m, symbol, k, tuple(family)) == want
-            assert triangular_witness(m, symbol, k, list(family)) == want
-        # a list family changed in place between calls is read afresh
-        mutable = list(family)
-        assert triangular_witness(m, symbol, k, mutable) == want
-        mutable[:] = list(other) + [symbol]
-        assert triangular_witness(m, symbol, k, mutable) == fresh(symbol, tuple(mutable))
+def test_built_witnesses_match_reference_scan():
+    # the acceptance grid and the benchmark ladder of both families
+    for spec in _grid_and_ladder_specs():
+        oracles.check_built_witnesses(spec)
 
 
 def test_common_zero_matches_points_over_f2():
@@ -703,12 +704,14 @@ def test_common_zero_search_is_bounded():
         common_zero(ring, family)
     # verify leaves an undecided family out instead of searching on
     symbols = tuple(WitnessSymbol(f"s{t}", m) for t, m in enumerate(family))
-    spec = custom_monad(
-        "branching",
-        ProductSpace((1,) * 16),
-        LineBundleSum([]),
-        LineBundleSum([((0,) * 16, 1)]),
-        LineBundleSum([]),
+    spec = dataclasses.replace(
+        custom_monad(
+            "branching",
+            ProductSpace((1,) * 16),
+            LineBundleSum([]),
+            LineBundleSum([((0,) * 16, 1)]),
+            LineBundleSum([]),
+        ),
         witness_families=(("branching", symbols),),
     )
     assert verify_monad(spec, trials=1).notes == (
