@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__, oracles
+from . import __version__
 from .cohomology import LineBundleSum, h_sum
 from .monad import (
     MonadSpec,
@@ -46,59 +47,155 @@ class SpecError(ValueError):
 # serialization
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-
-
-def to_jsonable(obj):
-    """JSON data for a result: plain scalars as they are, the rest by exact type.
-
-    Containers test each item's type inline, so that a scalar costs no call.
-    """
-    cls = type(obj)
-    return obj if cls in _PLAIN else _encoder(cls)(obj)
+_CONTAINERS = (dict, list, tuple)
+_INT_ONLY = frozenset({int})
 
 
 @functools.cache
 def _encoder(cls: type):
-    """The encoder for instances of `cls`: the first rule that matches wins.
+    """The rule for instances of `cls`: the first rule that matches wins.
 
-    The order matters: LineBundleSum is a dataclass, so its own rule must
-    come before the generic dataclass one.  Held for the life of the
-    process, one entry per type met.
+    A rule maps an object to a string or to a shallow JSON container: a
+    str-keyed dict, or a list or tuple, whose items may still need a rule.
+    A type no rule names is left as it is, for the JSON scalar rules.  The
+    order matters: LineBundleSum is a dataclass, so its own rule must come
+    before the generic dataclass one.  Held for the life of the process,
+    one entry per type met.
     """
     if issubclass(cls, Fraction):
         return lambda obj: f"{obj.numerator}/{obj.denominator}"
     if issubclass(cls, LineBundleSum):
-        return lambda obj: [[list(deg), mult] for deg, mult in obj.summands]
+        return lambda obj: obj.summands
     if issubclass(cls, SparsePoly):
-        return lambda obj: [[coeff, list(mono)] for mono, coeff in sorted(obj.terms.items())]
+        return lambda obj: [(coeff, mono) for mono, coeff in sorted(obj.terms.items())]
     if issubclass(cls, MonadMatrix):
         return lambda obj: {
-            "row_labels": [list(lab) for lab in obj.row_labels],
-            "col_labels": [list(lab) for lab in obj.col_labels],
-            "entries": [[to_jsonable(e) for e in row] for row in obj.entries],
+            "row_labels": obj.row_labels,
+            "col_labels": obj.col_labels,
+            "entries": obj.entries,
         }
     if dataclasses.is_dataclass(cls):
         names = tuple(f.name for f in dataclasses.fields(cls))
-
-        def fields(obj):
-            out = {}
-            for name in names:
-                value = getattr(obj, name)
-                out[name] = value if type(value) in _PLAIN else to_jsonable(value)
-            return out
-
-        return fields
+        return lambda obj: {name: getattr(obj, name) for name in names}
     if issubclass(cls, dict):
-        return lambda obj: {
-            str(k): v if type(v) in _PLAIN else to_jsonable(v) for k, v in obj.items()
-        }
+        return lambda obj: {str(k): v for k, v in obj.items()}
     if issubclass(cls, (list, tuple)):
-        return lambda obj: [v if type(v) in _PLAIN else to_jsonable(v) for v in obj]
+        return list
     return lambda obj: obj
 
 
+def to_jsonable(obj):
+    """JSON data for a result: the rules of `_encoder` applied all the way down."""
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    if cls is not list and cls is not tuple:
+        obj = _encoder(cls)(obj)
+        cls = type(obj)
+    if cls is dict:
+        return {k: v if type(v) in _PLAIN else to_jsonable(v) for k, v in obj.items()}
+    if cls is list or cls is tuple:
+        return [v if type(v) in _PLAIN else to_jsonable(v) for v in obj]
+    return obj
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_quote = json.encoder.encode_basestring_ascii
+# JSON text of a scalar, by exact type, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _scalar_text(value) -> str:
+    """JSON text of a value no rule turned into a container, by json.dumps' own tests."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# "\n" and the indent of each depth; deeper ones are made when met
+_NEWLINES = tuple("\n" + "  " * depth for depth in range(16))
+
+
+def _emit(obj, depth: int, out) -> None:
+    """Pass to `out` the text of `obj` at `depth` under json.dumps(indent=2)."""
+    cls = type(obj)
+    if cls is not list and cls is not tuple:
+        if cls not in _PLAIN:
+            obj = _encoder(cls)(obj)
+            cls = type(obj)
+        if cls not in _CONTAINERS:
+            out(_scalar_text(obj))
+            return
+    if not obj:
+        out("{}" if cls is dict else "[]")
+        return
+    inner = depth + 1
+    if inner < len(_NEWLINES):
+        newline, close = _NEWLINES[inner], _NEWLINES[depth]
+    else:
+        newline, close = "\n" + "  " * inner, "\n" + "  " * depth
+    comma = "," + newline
+    text = _SCALAR_TEXT.get
+    if cls is dict:
+        lead = "{" + newline
+        for key, value in obj.items():
+            scalar = text(type(value))
+            if scalar is None:
+                out(f"{lead}{_quote(key)}: ")
+                _emit(value, inner, out)
+            else:
+                out(f"{lead}{_quote(key)}: {scalar(value)}")
+            lead = comma
+        out(close + "}")
+    elif _INT_ONLY.issuperset(map(type, obj)):
+        out(f"[{newline}{comma.join(map(int.__repr__, obj))}{close}]")
+    else:
+        lead = "[" + newline
+        for value in obj:
+            scalar = text(type(value))
+            if scalar is None:
+                out(lead)
+                _emit(value, inner, out)
+            else:
+                out(lead + scalar(value))
+            lead = comma
+        out(close + "]")
+
+
 def json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    """The bytes of json.dumps(to_jsonable(doc), indent=2, ensure_ascii=True) plus a newline.
+
+    Written in one pass from the result objects, with no JSON tree between.
+    """
+    chunks: list[str] = []
+    _emit(doc, 0, chunks.append)
+    chunks.append("\n")
+    return "".join(chunks).encode("ascii")
 
 
 def _document(kind: str, instance: dict, result) -> dict:
@@ -107,7 +204,7 @@ def _document(kind: str, instance: dict, result) -> dict:
         "tool": "monadcert",
         "version": __version__,
         "instance": instance,
-        "result": to_jsonable(result),
+        "result": result,
     }
 
 
@@ -297,13 +394,19 @@ _FAMILY_KEYS = {
 }
 
 
-def _spec_from_instance(inst: dict) -> MonadSpec:
+def _family_key(inst: dict) -> tuple | None:
+    """The family and its checked values, all a section3/section4 build reads; None for custom."""
     family = inst.get("family")
     if family == "custom":
-        return _custom_from_block(inst)
+        return None
     if family not in _FAMILY_KEYS:
         raise SpecError(f"unknown family {family!r}")
     values = _instance_values(inst, *_FAMILY_KEYS[family])
+    return (family, *(tuple(v) if isinstance(v, list) else v for v in values))
+
+
+def _build_family(key: tuple) -> MonadSpec:
+    family, *values = key
     try:
         if family == "section3":
             dims, k = values
@@ -311,6 +414,11 @@ def _spec_from_instance(inst: dict) -> MonadSpec:
         return build_section4(*values)
     except ValueError as exc:
         raise SpecError(f"bad {family} parameters: {exc}") from exc
+
+
+def _spec_from_instance(inst: dict, build=_build_family) -> MonadSpec:
+    key = _family_key(inst)
+    return _custom_from_block(inst) if key is None else build(key)
 
 
 def _instance_from_args(args) -> tuple[dict, MonadSpec]:
@@ -401,14 +509,14 @@ _KINDS = {
 }
 
 
-def _regenerate(doc: dict) -> dict:
+def _regenerate(doc: dict, build) -> dict:
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise SpecError(f"unknown document kind {kind!r}")
     inst = doc.get("instance")
     if not isinstance(inst, dict):
         raise SpecError("document has no instance block")
-    spec = _spec_from_instance(inst)
+    spec = _spec_from_instance(inst, build)
     _, rebuild = _KINDS[kind]
     return _document(kind, inst, rebuild(spec, inst))
 
@@ -540,8 +648,37 @@ def cmd_cohom(args) -> int:
     return 0
 
 
+def _first_difference(expected, stored, path: str = "") -> str | None:
+    """JSON path of the first value where `stored` differs from `expected`, or None.
+
+    Keys are visited in the order of `expected`, then the keys only `stored` has.
+    """
+    if type(expected) is not type(stored):
+        return path
+    if type(expected) is dict:
+        for key in [*expected, *(key for key in stored if key not in expected)]:
+            where = f"{path}.{key}" if key.isidentifier() else f"{path}[{_quote(key)}]"
+            if key not in expected or key not in stored:
+                return where
+            found = _first_difference(expected[key], stored[key], where)
+            if found is not None:
+                return found
+        return None
+    if type(expected) is list:
+        for i, (value, other) in enumerate(zip(expected, stored)):
+            found = _first_difference(value, other, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(expected) != len(stored):
+            return f"{path}[{min(len(expected), len(stored))}]"
+        return None
+    return None if expected == stored else path
+
+
 def cmd_recheck(args) -> int:
     ok = True
+    # consecutive documents of one section3/section4 instance share its build
+    build = functools.lru_cache(maxsize=1)(_build_family)
     for name in args.paths:
         path = Path(name)
         try:
@@ -553,16 +690,27 @@ def cmd_recheck(args) -> int:
             raise SpecError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError(f"{path}: top level must be an object")
-        regenerated = _regenerate(doc)
-        if json_bytes(regenerated) == raw:
+        regenerated = _regenerate(doc, build)
+        fresh = json_bytes(regenerated)
+        if fresh == raw:
             print(f"{path}: OK")
+            continue
+        ok = False
+        where = _first_difference(to_jsonable(regenerated), doc)
+        if where is None:
+            offset = next(
+                (i for i, (a, b) in enumerate(zip(fresh, raw)) if a != b),
+                min(len(fresh), len(raw)),
+            )
+            print(f"{path}: MISMATCH at byte {offset}")
         else:
-            print(f"{path}: MISMATCH")
-            ok = False
+            print(f"{path}: MISMATCH at {where.lstrip('.')}")
     return 0 if ok else 1
 
 
 def cmd_selftest(args) -> int:
+    from . import oracles  # imported here: oracles reads this module's to_jsonable
+
     failures = 0
     for name, check in oracles.SUITES:
         try:

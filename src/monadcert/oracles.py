@@ -5,7 +5,8 @@ checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
 truncated polynomial ring, ranks come from Gauss-Jordan on matrices
 evaluated entry by entry, common zeros are sought at every point over F_2,
-triangular witnesses are searched for over the whole matrix.
+triangular witnesses are searched for over the whole matrix, and a
+document's text is written by the json module's encoder.
 `selftest` runs SUITES; the tests call the same oracles and check functions
 with their own seeds and ranges.  A check function raises AssertionError on
 the first disagreement.
@@ -14,6 +15,7 @@ the first disagreement.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,6 +23,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .certify import TwistMode, vanishing_all_twists
+from .cli import to_jsonable
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import MonadSpec, build_section3, build_section4, nu, verify_monad
 from .polyring import (
@@ -284,6 +287,15 @@ def witness_by_scan(
     return TriangularWitness(
         symbol.name, tuple(r for r, _ in chosen), tuple(c for _, c in chosen), not dedup, dedup
     )
+
+
+def document_bytes_by_json(doc) -> bytes:
+    """A document's bytes by the json module: the whole JSON tree first, then `indent=2`.
+
+    The tree comes from `cli.to_jsonable`, so the type rules are shared with
+    `cli.json_bytes`; what this checks is the writing.
+    """
+    return (json.dumps(to_jsonable(doc), indent=2, ensure_ascii=True) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

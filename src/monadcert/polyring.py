@@ -241,6 +241,20 @@ class SparsePoly:
     __repr__ = __str__
 
 
+def _int_labels(labels: Iterable[Sequence[int]], length: int) -> tuple[MultiDegree, ...]:
+    """Each label as a tuple of `length` ints; equal labels are converted and checked once.
+
+    Builders pass one degree tuple many times over, so labels are grouped by
+    value before any is converted.
+    """
+    keys = tuple(map(tuple, labels))  # a label that is a tuple is kept as it is
+    converted = {key: tuple(map(int, key)) for key in dict.fromkeys(keys)}
+    for label in converted.values():
+        if len(label) != length:
+            raise ValueError(f"label {label} has wrong length, expected {length}")
+    return tuple(map(converted.__getitem__, keys))
+
+
 class MonadMatrix:
     """Matrix of forms with declared row/column multidegree labels.
 
@@ -258,8 +272,9 @@ class MonadMatrix:
     ):
         self.ring = ring
         self.entries = tuple(tuple(row) for row in entries)
-        self.row_labels = tuple(tuple(int(x) for x in lab) for lab in row_labels)
-        self.col_labels = tuple(tuple(int(x) for x in lab) for lab in col_labels)
+        l = len(ring.factors)
+        self.row_labels = _int_labels(row_labels, l)
+        self.col_labels = _int_labels(col_labels, l)
         if len(self.entries) != len(self.row_labels):
             raise ValueError("one label per row required")
         ncols = len(self.col_labels)
@@ -269,10 +284,6 @@ class MonadMatrix:
             for e in row:
                 if e.ring is not ring and e.ring != ring:
                     raise ValueError("entry from a different ring")
-        l = len(ring.factors)
-        for lab in self.row_labels + self.col_labels:
-            if len(lab) != l:
-                raise ValueError(f"label {lab} has wrong length, expected {l}")
         self._plan = None
 
     @property

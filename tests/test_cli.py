@@ -139,6 +139,94 @@ def test_recheck_flags_tampering(tmp_path):
     assert run("recheck", str(path)) == 1
 
 
+def _recheck_lines(*paths):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run("recheck", *map(str, paths))
+    return code, out.getvalue().splitlines()
+
+
+def test_recheck_names_the_first_differing_value(tmp_path):
+    run("verify", "--family", "section3", "--copies", "2", "--k", "2",
+        "--out-dir", str(tmp_path))
+    path = tmp_path / "section3-dims1x1-k2.report.json"
+    doc = json.loads(path.read_text())
+    for change, where in (
+        (lambda d: d["result"]["map_f"]["rank"]["ranks"].__setitem__(3, 0),
+         "result.map_f.rank.ranks[3]"),
+        (lambda d: d["result"]["map_g"]["rank"]["ranks"].append(1), "result.map_g.rank.ranks[20]"),
+        (lambda d: d["result"]["map_g"]["rank"]["ranks"].pop(), "result.map_g.rank.ranks[19]"),
+        (lambda d: d["result"].__setitem__("valid", 1), "result.valid"),
+        (lambda d: d["result"].pop("notes"), "result.notes"),
+        (lambda d: d["result"].__setitem__("a b", []), 'result["a b"]'),
+    ):
+        tampered = json.loads(json.dumps(doc))
+        change(tampered)
+        path.write_text(json.dumps(tampered, indent=2) + "\n")
+        assert _recheck_lines(path) == (1, [f"{path}: MISMATCH at {where}"])
+    # of two changed values, the one that comes first in the document
+    tampered = json.loads(json.dumps(doc))
+    tampered["result"]["map_g"]["rows"] = 7
+    tampered["result"]["map_f"]["cols"] = 7
+    path.write_text(json.dumps(tampered, indent=2) + "\n")
+    assert _recheck_lines(path) == (1, [f"{path}: MISMATCH at result.map_f.cols"])
+
+
+def test_recheck_names_the_first_differing_byte(tmp_path):
+    run("build", "--family", "section3", "--copies", "1,1", "--out-dir", str(tmp_path))
+    path = tmp_path / "section3-dims1x3-k1.build.json"
+    raw = path.read_bytes()
+    doc = json.loads(raw)
+    reordered = {key: doc[key] for key in reversed(doc)}
+    for text, offset in (
+        (raw[:-1], len(raw) - 1),  # no final newline
+        (raw + b" ", len(raw)),
+        (json.dumps(doc, indent=1).encode(), 3),  # the same tree, indented by one
+        (json.dumps(reordered, indent=2).encode(), 5),  # the same tree, keys reordered
+    ):
+        path.write_bytes(text)
+        assert _recheck_lines(path) == (1, [f"{path}: MISMATCH at byte {offset}"])
+
+
+def test_recheck_shares_a_build_only_within_one_instance(tmp_path, monkeypatch):
+    # four documents of each of two instances, rechecked in interleaved and in
+    # sorted order, with two tampered documents each beside a fresh one of the
+    # same instance: one names another k, one has a result value changed
+    for copies in ("2", "1,1"):
+        for command in ("build", "verify", "certify-simplicity"):
+            run(command, "--family", "section3", "--copies", copies, "--k", "1",
+                "--out-dir", str(tmp_path))
+    fresh = sorted(tmp_path.iterdir())
+    assert len(fresh) == 8
+    other_k = json.loads((tmp_path / "section3-dims1x3-k1.stability.json").read_text())
+    other_k["instance"]["k"] = 2
+    changed = json.loads((tmp_path / "section3-dims1x1-k1.report.json").read_text())
+    changed["result"]["map_f"]["rows"] += 1
+    tampered = []
+    for name, doc in (("a-other-k.json", other_k), ("a-changed.json", changed)):
+        tampered.append(tmp_path / name)
+        tampered[-1].write_text(json.dumps(doc, indent=2) + "\n")
+    alone = {path: _recheck_lines(path) for path in fresh + tampered}
+    assert [alone[p][0] for p in tampered] == [1, 1]
+    assert {alone[p][0] for p in fresh} == {0}
+    builds = []
+    original = cli.build_section3
+    monkeypatch.setattr(cli, "build_section3", lambda *a: builds.append(a) or original(*a))
+    x1x3 = [p for p in fresh if "dims1x3" in p.name]
+    x1x1 = [p for p in fresh if "dims1x1-" in p.name]
+    orders = (
+        [p for pair in zip(x1x1, x1x3) for p in pair],
+        x1x1[:2] + [tampered[1]] + x1x1[2:] + x1x3[:3] + [tampered[0]] + x1x3[3:],
+        fresh,
+    )
+    for order, count in zip(orders, (8, 4, 2)):
+        builds.clear()
+        code, lines = _recheck_lines(*order)
+        assert lines == [line for p in order for line in alone[p][1]]
+        assert code == max(alone[p][0] for p in order)
+        assert len(builds) == count
+
+
 def test_documents_are_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -493,6 +581,20 @@ def test_documents_match_pinned_digests(tmp_path):
             assert code == want[job.key]["exit"], job.key
             got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
             assert got == want[job.key]["docs"], job.key
+
+
+def test_recheck_reads_every_benchmark_document_ok(tmp_path):
+    # one recheck over all the documents of each workload's seed-0 pass, as the
+    # benchmark runs it, prints OK for each
+    for name, make_jobs in _benchmark_workloads().items():
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            for job in make_jobs(0):
+                main(job.argv(str(out)))
+        paths = sorted(out.iterdir())
+        code, lines = _recheck_lines(*paths)
+        assert lines == [f"{path}: OK" for path in paths], name
+        assert code == 0
 
 
 SECTION_DOCS = (

@@ -197,6 +197,20 @@ def test_matrix_validation():
         MonadMatrix(r, [[other.variable(0, 0)]], [(1, 0)], [(0, 0)])
 
 
+def test_matrix_labels_become_int_tuples():
+    # labels given as lists, as one shared tuple, or with non-int entries all
+    # come out as tuples of exact ints, and every one is length-checked
+    r = _ring2()
+    shared = (1, 0)
+    m = MonadMatrix(r, [[r.zero()]] * 4, [[1, 0], shared, shared, [True, 0.0]], [("2", 1)])
+    assert m.row_labels == ((1, 0),) * 4 and m.col_labels == ((2, 1),)
+    for lab in m.row_labels + m.col_labels:
+        assert type(lab) is tuple and all(type(x) is int for x in lab)
+    for rows, cols in (([shared, [1, 0, 0]], [shared]), ([shared, shared], [[0]])):
+        with pytest.raises(ValueError, match="wrong length"):
+            MonadMatrix(r, [[r.zero()]] * 2, rows, cols)
+
+
 def test_degree_consistency():
     r = _ring2()
     u0 = r.variable(0, 0)
