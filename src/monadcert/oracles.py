@@ -27,6 +27,7 @@ from .cli import to_jsonable
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import MonadSpec, build_section3, build_section4, nu, verify_monad
 from .polyring import (
+    DEFAULT_PRIME,
     CoordinateRing,
     Monomial,
     MonadMatrix,
@@ -35,6 +36,7 @@ from .polyring import (
     TriangularWitness,
     WitnessSymbol,
     common_zero,
+    rank_at_random_points,
 )
 from .space import MultiDegree, ProductSpace
 
@@ -137,7 +139,7 @@ def vanishing_by_enumeration(
 def rank_by_gauss_jordan(rows: list[list[int]], p: int) -> int:
     """Rank mod p by Gauss-Jordan elimination over the rows as given.
 
-    The reference for polyring's forward elimination on the short side.
+    The reference for polyring's online echelon rank of a vector stream.
     """
     rows = [r[:] for r in rows]
     nrows = len(rows)
@@ -426,6 +428,49 @@ def check_common_zero(seed: int, draws: int) -> None:
             ), f"{zero} is no common zero of {family}"
 
 
+def check_rank_evidence(seed: int, draws: int, trials: int) -> None:
+    """rank_at_random_points against rank_evidence_by_entries on random
+    rank-deficient matrices of forms, up to 6 x 6, 0 x n and n x 0 included.
+
+    Entries are sums of up to three terms from four bidegree-(1, 1)
+    monomials, so they share monomials.  Each matrix is made rank-deficient
+    by one or two of: a repeated row, a row that is the sum of two others,
+    a zero row, a zero column.
+    """
+    rng = random.Random(seed)
+    ring = CoordinateRing((1, 2))
+    pool = [ring.unit_monomial(((0, i), (1, j))) for i in range(2) for j in range(3)]
+    deficient = 0
+    for _ in range(draws):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        monos = rng.sample(pool, 4)
+        rows = [[ring.zero()] * ncols for _ in range(nrows)]
+        for row in rows:
+            for c in range(ncols):
+                terms = {rng.choice(monos): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
+                row[c] = SparsePoly(ring, terms)
+        for _ in range(rng.randint(1, 2) if nrows and ncols else 0):
+            i, a, b = (rng.randrange(nrows) for _ in range(3))
+            how = rng.choice(("repeat", "sum", "zero-row", "zero-column"))
+            if how == "repeat":
+                rows[i] = list(rows[a])
+            elif how == "sum":
+                rows[i] = [x + y for x, y in zip(rows[a], rows[b])]
+            elif how == "zero-row":
+                rows[i] = [ring.zero()] * ncols
+            else:
+                c = rng.randrange(ncols)
+                for row in rows:
+                    row[c] = ring.zero()
+        m = MonadMatrix(ring, rows, [(1, 1)] * nrows, [(0, 0)] * ncols)
+        prime, point_seed = rng.choice((1048583, DEFAULT_PRIME)), rng.randrange(1000)
+        got = rank_at_random_points(m, prime, trials, point_seed)
+        want = rank_evidence_by_entries(m, prime, trials, point_seed)
+        assert got == want, f"{nrows}x{ncols} {rows}: ranks {got.ranks} != {want.ranks}"
+        deficient += got.max_rank_seen < min(nrows, ncols)
+    assert deficient, "no rank-deficient matrix drawn"
+
+
 def check_built_witnesses(spec: MonadSpec) -> None:
     """Each witness a builder lays out is the one the reference scan finds.
 
@@ -467,4 +512,5 @@ SUITES = (
     ("nu-half-product", partial(check_nu, limit=512)),
     ("common-zero-vs-points", partial(check_common_zero, seed=86028121, draws=300)),
     ("monad-validity", check_monads),
+    ("rank-evidence-vs-entries", partial(check_rank_evidence, seed=67867967, draws=40, trials=2)),
 )

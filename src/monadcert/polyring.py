@@ -5,15 +5,17 @@ Matrices carry per-row/per-column multidegree labels; nonzero entries of a
 well-labeled matrix have multidegree row_label - col_label.  Rank support is
 twofold, mirroring how such matrices are argued about: an exact check of
 triangular witnesses (symbolic, pointwise-sound) and randomized evaluation
-over a large prime field.
+over a large prime field, where each point's rank is read off the matrix's
+long side, evaluated vector by vector, until it reaches the short side.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .space import MultiDegree
 
@@ -21,12 +23,16 @@ Monomial = tuple[int, ...]
 
 DEFAULT_PRIME = 2147483629  # largest prime below 2^31 - 16; fits 31-bit-safe arithmetic
 DEFAULT_TRIALS = 20
+MAX_TRIALS = 1000
+"""Most sample points one rank check takes; every point is stored in the report."""
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+"""psi_13: the least strong pseudoprime to every base in _MR_BASES."""
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed base set)."""
+    """Miller-Rabin to the bases 2..41, deterministic for n < PRIME_BOUND."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -271,20 +277,17 @@ class MonadMatrix:
         col_labels: Sequence[Sequence[int]],
     ):
         self.ring = ring
-        self.entries = tuple(tuple(row) for row in entries)
+        self.entries = tuple(map(tuple, entries))
         l = len(ring.factors)
         self.row_labels = _int_labels(row_labels, l)
         self.col_labels = _int_labels(col_labels, l)
         if len(self.entries) != len(self.row_labels):
             raise ValueError("one label per row required")
-        ncols = len(self.col_labels)
-        for row in self.entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows / label count mismatch")
-            for e in row:
-                if e.ring is not ring and e.ring != ring:
-                    raise ValueError("entry from a different ring")
-        self._plan = None
+        if not {len(self.col_labels)}.issuperset(map(len, self.entries)):
+            raise ValueError("ragged rows / label count mismatch")
+        for e in chain.from_iterable(self.entries):
+            if e.ring is not ring and e.ring != ring:
+                raise ValueError("entry from a different ring")
 
     @property
     def nrows(self) -> int:
@@ -308,9 +311,12 @@ class MonadMatrix:
         """
         degree_of: dict[Monomial, MultiDegree] = {}
         bad = []
-        for r, (rl, row) in enumerate(zip(self.row_labels, self.entries)):
-            for c, (cl, e) in enumerate(zip(self.col_labels, row)):
-                expected = tuple(map(sub, rl, cl))
+        rows = enumerate(zip(self.row_labels, self.entries)) if self.ncols else ()
+        for r, (rl, row) in rows:
+            for c, e in enumerate(row):
+                if not e.terms:
+                    continue
+                expected = tuple(map(sub, rl, self.col_labels[c]))
                 for mono in e.terms:
                     found = degree_of.get(mono)
                     if found is None:
@@ -323,78 +329,6 @@ class MonadMatrix:
     @property
     def degree_consistent(self) -> bool:
         return not self.degree_mismatches()
-
-    def eval_mod(self, point: Sequence[int], p: int) -> list[list[int]]:
-        """Entries at `point` mod p, row by row."""
-        lines = self._eval_lines(point, p)
-        if self._eval_plan()[2]:
-            return [[line[r] for line in lines] for r in range(self.nrows)]
-        return lines
-
-    def _eval_plan(
-        self,
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], bool, tuple[tuple, ...]]:
-        """How to evaluate the matrix at a point, built once per matrix.
-
-        Returns (pairs, steps, transposed, lines).  `pairs` are the distinct
-        (variable, exponent) factors of the entries' monomials.  The distinct
-        monomials share their prefixes in a trie over those factors, taken in
-        variable order: node 0 is the monomial 1, and node i >= 1 is
-        steps[i - 1] = (parent node, pair index), the parent times one
-        factor.  The cells are laid out on the short side: `lines` holds the
-        rows, or the columns when `transposed` (more rows than columns), each
-        as (length, single-term cells (pos, node, coeff), other cells
-        (pos, ((node, coeff), ...))).
-        """
-        if self._plan is None:
-            pairs: dict[tuple[int, int], int] = {}
-            steps: dict[tuple[int, int], int] = {}  # (parent, pair) -> node
-            node_of: dict[Monomial, int] = {}
-
-            def node(mono: Monomial) -> int:
-                if mono not in node_of:
-                    n = 0
-                    for var_exp in enumerate(mono):
-                        if var_exp[1]:
-                            key = (n, pairs.setdefault(var_exp, len(pairs)))
-                            n = steps.setdefault(key, len(steps) + 1)
-                    node_of[mono] = n
-                return node_of[mono]
-
-            transposed = self.nrows > self.ncols
-            grid = zip(*self.entries) if transposed else self.entries
-            length = self.nrows if transposed else self.ncols
-            lines = []
-            for line in grid:
-                singles, others = [], []
-                for pos, e in enumerate(line):
-                    if len(e.terms) == 1:
-                        (mono, coeff), = e.terms.items()
-                        singles.append((pos, node(mono), coeff))
-                    elif e.terms:
-                        others.append(
-                            (pos, tuple((node(mono), coeff) for mono, coeff in e.terms.items()))
-                        )
-                lines.append((length, tuple(singles), tuple(others)))
-            self._plan = tuple(pairs), tuple(steps), transposed, tuple(lines)
-        return self._plan
-
-    def _eval_lines(self, point: Sequence[int], p: int) -> list[list[int]]:
-        """The short-side lines of `_eval_plan` at `point` mod p, each monomial evaluated once."""
-        pairs, steps, _, lines = self._eval_plan()
-        powers = [pow(point[var], e, p) for var, e in pairs]
-        values = [1]
-        for parent, pair in steps:
-            values.append(values[parent] * powers[pair] % p)
-        out = []
-        for length, singles, others in lines:
-            line = [0] * length
-            for pos, i, coeff in singles:
-                line[pos] = coeff * values[i] % p
-            for pos, terms in others:
-                line[pos] = sum(coeff * values[i] for i, coeff in terms) % p
-            out.append(line)
-        return out
 
 
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
@@ -423,29 +357,56 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
 # ---------------------------------------------------------------------------
 # randomized rank evidence
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of a matrix of residues mod p by forward elimination; `rows` is consumed.
+def _long_side_at(m: MonadMatrix, point: Sequence[int], p: int) -> Iterator[list[int]]:
+    """The matrix at `point` mod p, as a lazy stream of its long side.
 
-    Lay the matrix out with its short side as rows: each pivot clears only
-    the rows below it.
+    Yields the rows when the matrix has more rows than columns, else the
+    columns.  A vector is evaluated only when the stream reaches it, its
+    zero entries are not evaluated, and each distinct monomial is evaluated
+    once per point.
     """
-    nrows = len(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        if rank == nrows:
+    memo: dict[Monomial, int] = {}
+
+    def value(poly: SparsePoly) -> int:
+        total = 0
+        for mono, coeff in poly.terms.items():
+            v = memo.get(mono)
+            if v is None:
+                v = memo[mono] = _eval_monomial(mono, point, p)
+            total += coeff * v
+        return total % p
+
+    rows = m.entries
+    lines = rows if m.nrows > m.ncols else ([row[c] for row in rows] for c in range(m.ncols))
+    for line in lines:
+        yield [value(e) if e.terms else 0 for e in line]
+
+
+def _rank_of_stream(vectors: Iterable[list[int]], limit: int, p: int) -> int:
+    """Rank mod p of a stream of vectors of residues in [0, p), read until `limit` are independent.
+
+    An online echelon basis: each basis vector is 1 at its pivot, its first
+    nonzero place, and 0 at the pivots of the vectors found before it.  A
+    new vector is reduced by the basis in the order it was found, which
+    clears every pivot, and joins the basis if anything is left.  With
+    `limit` = min(rows, columns) a full-rank matrix stops the stream early;
+    a rank-deficient one is read to the end.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    vectors = iter(vectors)
+    while len(basis) < limit:
+        v = next(vectors, None)
+        if v is None:
             break
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, p)
-        for r in range(rank + 1, nrows):
-            f = rows[r][col] * inv % p
+        for pivot, b in basis:
+            f = v[pivot]
             if f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
-        rank += 1
-    return rank
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            inv = pow(v[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in v]))
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -468,14 +429,21 @@ def rank_at_random_points(
 
     Each factor's coordinate tuple is sampled with the all-zero tuple
     rejected, so every sample is a genuine point of the product space.
-    Deterministic for a fixed seed.
+    At each point the long side is ranked as a stream that stops once the
+    rank reaches the short side; the rank does not depend on the order the
+    vectors are taken in.  Deterministic for a fixed seed.
     """
+    if prime >= PRIME_BOUND:
+        raise ValueError(
+            f"prime {prime} is not below {PRIME_BOUND}, the bound under which primality is decided"
+        )
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if prime < 2 ** 20:
         raise ValueError(f"prime {prime} too small, need >= 2^20")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    limit = min(m.nrows, m.ncols)
     rng = random.Random(seed)
     ranks = []
     points = []
@@ -490,7 +458,7 @@ def rank_at_random_points(
                 raise RuntimeError("degenerate point generation")
             factor_tuples.append(tup)
         flat = [x for tup in factor_tuples for x in tup]
-        ranks.append(_rank_mod(m._eval_lines(flat, prime), prime))
+        ranks.append(_rank_of_stream(_long_side_at(m, flat, prime), limit, prime))
         points.append(tuple(factor_tuples))
     return RankEvidence(
         max_rank_seen=max(ranks),
@@ -632,15 +600,20 @@ def triangular_witness(
         witness.symbol != symbol.name
         or witness.strict != (not guards)
         or None in guards
-        or not all(
-            len(cells) == len(set(cells)) == k and all(i in range(size) for i in cells)
-            for cells, size in ((rows, m.nrows), (cols, m.ncols))
+        or not (
+            len(rows) == len(set(rows)) == k == len(cols) == len(set(cols))
+            and 0 <= min(rows) and max(rows) < m.nrows
+            and 0 <= min(cols) and max(cols) < m.ncols
         )
     ):
         return None
+    base = symbol.monomial
     for i, r in enumerate(rows):
         row = m.entries[r]
-        if not _is_power(row[cols[i]], symbol.monomial):
+        diagonal = row[cols[i]]
+        if not (
+            len(diagonal.terms) == 1 and base in diagonal.terms and any(base)
+        ) and not _is_power(diagonal, base):
             return None
         for c in cols[:i]:
             if row[c].terms and not any(_is_power(row[c], g) for g in guards):

@@ -300,6 +300,30 @@ def test_error_exits(tmp_path):
                str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)) == 2
 
 
+def test_rank_check_parameters_out_of_range_exit_2(tmp_path, capsys):
+    # strong pseudoprimes to the bases 2..37 and 2..41, and too many trials
+    cases = (("prime", 318665857834031151167461), ("prime", 3317044064679887385961981),
+             ("trials", 1001))
+    instance = ("--family", "section3", "--copies", "2", "--k", "1")
+    assert run("verify", *instance, "--out-dir", str(tmp_path)) == 0
+    (doc_path,) = tmp_path.iterdir()
+    for key, value in cases:
+        capsys.readouterr()
+        assert run("verify", *instance, f"--{key}", str(value),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        verify_err = capsys.readouterr().err
+        doc = json.loads(doc_path.read_text())
+        doc["instance"][key] = value
+        path = tmp_path / f"{key}-{value}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert run("recheck", str(path)) == 2
+        recheck_err = capsys.readouterr().err
+        for err in verify_err, recheck_err:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(value) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spec_file_with_non_object_terms_or_maps(tmp_path, capsys):
     for key, value in (("terms", [[[0, 0], 1]]), ("maps", [1, 2])):
         spec = dict(COUNTEREXAMPLE, **{key: value})
@@ -478,6 +502,7 @@ def test_selftest_passes(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out
     assert "monad-validity: pass" in out
+    assert "rank-evidence-vs-entries: pass" in out
 
 
 def test_console_script_version():

@@ -19,6 +19,8 @@ from monadcert.polyring import (
     COMMON_ZERO_STEPS,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
+    MAX_TRIALS,
+    PRIME_BOUND,
     CommonZeroUndecided,
     CoordinateRing,
     MonadMatrix,
@@ -26,7 +28,8 @@ from monadcert.polyring import (
     SparsePoly,
     TriangularWitness,
     WitnessSymbol,
-    _rank_mod,
+    _long_side_at,
+    _rank_of_stream,
     common_zero,
     is_probable_prime,
     mat_mul,
@@ -50,6 +53,16 @@ def trial_division_prime(n):
 def test_primality_matches_trial_division():
     for n in range(0, 4000):
         assert is_probable_prime(n) == trial_division_prime(n), n
+
+
+def test_strong_pseudoprimes_below_and_at_the_bound():
+    # psi_12, a strong pseudoprime to the bases 2..37, is caught by base 41
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461 < PRIME_BOUND
+    assert not is_probable_prime(psi12)
+    # psi_13 passes every base up to 41, so it is where the test stops being exact
+    assert 1287836182261 * 2575672364521 == PRIME_BOUND
+    assert is_probable_prime(PRIME_BOUND)
 
 
 def test_default_prime_is_prime():
@@ -311,6 +324,12 @@ def test_rank_determinism_and_validation():
         rank_at_random_points(m, prime=2 ** 21)  # not prime
     with pytest.raises(ValueError):
         rank_at_random_points(m, trials=0)
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_TRIALS}"):
+        rank_at_random_points(m, trials=MAX_TRIALS + 1)
+    assert rank_at_random_points(m, prime=1048583, trials=MAX_TRIALS).trials == MAX_TRIALS
+    for composite in (318665857834031151167461, PRIME_BOUND):
+        with pytest.raises(ValueError):
+            rank_at_random_points(m, prime=composite)
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +573,14 @@ def test_matrix_eval_matches_entrywise_eval():
         entries = [[random_poly(rng, ring) for _ in range(ncols)] for _ in range(nrows)]
         m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
         point = [rng.randrange(p) for _ in range(ring.nvars)]
-        got = m.eval_mod(point, p)
-        assert got == [[e.eval_mod(point, p) for e in row] for row in entries]
-        assert got == [[eval_direct(e, point, p) for e in row] for row in entries]
+        got = list(_long_side_at(m, point, p))
+        # the long side: rows when the matrix is tall, else columns
+        if nrows > ncols:
+            lines = entries
+        else:
+            lines = [[row[c] for row in entries] for c in range(ncols)]
+        assert got == [[e.eval_mod(point, p) for e in line] for line in lines]
+        assert got == [[eval_direct(e, point, p) for e in line] for line in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +613,24 @@ def test_forward_elimination_matches_gauss_jordan():
             ]
             # a sparse case: mostly zeros, so that pivots must be searched for
             cases.append([[x if rng.random() < 0.2 else 0 for x in row] for row in cases[0]])
+            limit = min(nrows, ncols)
             for rows in cases:
                 want = oracles.rank_by_gauss_jordan(rows, p)
-                assert _rank_mod([r[:] for r in rows], p) == want, (p, rows)
+                assert _rank_of_stream(rows, limit, p) == want, (p, rows)
                 transposed = [list(col) for col in zip(*rows)]
-                assert _rank_mod(transposed, p) == want
-                ranks.add((min(nrows, ncols), want))
-    assert _rank_mod([], DEFAULT_PRIME) == 0
+                assert _rank_of_stream(transposed, limit, p) == want
+                ranks.add((limit, want))
+                # the stream is read only until the rank reaches the limit
+                for vectors in rows, transposed:
+                    read = next(
+                        (j for j in range(len(vectors) + 1)
+                         if oracles.rank_by_gauss_jordan(vectors[:j], p) == limit),
+                        len(vectors),
+                    )
+                    stream = iter(vectors)
+                    _rank_of_stream(stream, limit, p)
+                    assert len(list(stream)) == len(vectors) - read
+    assert _rank_of_stream([], 0, DEFAULT_PRIME) == 0
     # full, deficient and zero ranks all occur
     assert {(3, 3), (3, 2), (3, 1), (3, 0)} <= ranks
 
@@ -635,6 +670,11 @@ def test_rank_evidence_matches_entrywise_reference():
             assert rank_at_random_points(m, prime=1048583, trials=7, seed=11) == (
                 oracles.rank_evidence_by_entries(m, 1048583, 7, 11)
             )
+
+
+def test_rank_evidence_matches_entrywise_reference_when_deficient():
+    # repeated, summed and zero rows, zero columns, shared monomials, empty shapes
+    oracles.check_rank_evidence(seed=8675309, draws=300, trials=3)
 
 
 def test_mat_mul_matches_sum_of_products():
