@@ -35,7 +35,14 @@ from .monad import (
     zero_map,
 )
 from .certify import TwistMode, simplicity_certificate, stability_certificate
-from .polyring import DEFAULT_PRIME, DEFAULT_TRIALS, CoordinateRing, MonadMatrix, SparsePoly
+from .polyring import (
+    DEFAULT_PRIME,
+    DEFAULT_TRIALS,
+    CoordinateRing,
+    MonadMatrix,
+    SparsePoly,
+    check_rank_parameters,
+)
 from .space import ProductSpace, check_polarization
 
 
@@ -110,30 +117,22 @@ def _float_text(value: float) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
-# JSON text of a scalar, by exact type, as json.dumps writes it
+# JSON text of a scalar as json.dumps writes it, in the order json.dumps
+# tests a value's type: bool before its base class int
 _SCALAR_TEXT = {
     str: _quote,
-    int: int.__repr__,
-    float: _float_text,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
+    int: int.__repr__,
+    float: _float_text,
 }
 
 
 def _scalar_text(value) -> str:
     """JSON text of a value no rule turned into a container, by json.dumps' own tests."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
+    for cls, text in _SCALAR_TEXT.items():
+        if isinstance(value, cls):
+            return text(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -215,11 +214,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write(args, doc: dict, instance_id: str) -> Path:
-    """Write `doc` as {instance_id}.{suffix}.json, the suffix named by its kind in _KINDS."""
-    suffix, _ = _KINDS[doc["kind"]]
-    path = _out_dir(args) / f"{instance_id}.{suffix}.json"
-    path.write_bytes(json_bytes(doc))
+def _write(args, kind: str, inst: dict, spec: MonadSpec, result) -> Path:
+    """Write the `kind` document as {instance_id}.{suffix}.json, the suffix named in _KINDS."""
+    suffix, _, _ = _KINDS[kind]
+    path = _out_dir(args) / f"{spec.instance_id}.{suffix}.json"
+    path.write_bytes(json_bytes(_document(kind, inst, result)))
     return path
 
 
@@ -249,6 +248,12 @@ def _is_pairs(value, first, second) -> bool:
 
 _CONSTRAINTS = [mode.value for mode in TwistMode]
 
+# the instance keys of each built family, in block order and builder argument order
+_FAMILY_KEYS = {
+    "section3": ("dims", "k"),
+    "section4": ("n", "m", "l", "alpha", "beta", "gamma", "k"),
+}
+
 # what each key of a spec file or of a document's instance block must hold
 _KEY_TYPES = {
     "name": (lambda v: isinstance(v, str), "a string"),
@@ -265,11 +270,9 @@ _KEY_TYPES = {
     "maps": (lambda v: isinstance(v, dict), "an object"),
     "polarization": (_is_int_list, "a list of integers"),
     "constraint": (lambda v: v in _CONSTRAINTS, f"one of {', '.join(_CONSTRAINTS)}"),
-    "prime": (_is_int, "an integer"),
-    "trials": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
     "dims": (_is_int_list, "a list of integers"),
-    **{key: (_is_int, "an integer") for key in ("k", "n", "m", "l", "alpha", "beta", "gamma")},
+    **{key: (_is_int, "an integer")
+       for key in (*_FAMILY_KEYS["section4"], "prime", "trials", "seed")},
 }
 _SPEC_KEYS = ("name", "factors", "groups", "terms", "letters", "maps", "polarization", "constraint")
 _REQUIRED_SPEC_KEYS = ("name", "factors", "terms")
@@ -377,21 +380,34 @@ def _custom_block_from_spec(spec: MonadSpec, embed_maps: bool) -> dict:
     return block
 
 
-def _instance_values(inst: dict, *keys: str) -> list:
+def _check_values(values: dict) -> None:
+    """Raise SpecError unless each value is what _KEY_TYPES asks of its key.
+
+    Also raise ValueError unless a prime and a number of trials are ones the
+    rank evidence accepts.
+    """
+    for key, value in values.items():
+        check, expected = _KEY_TYPES[key]
+        if not check(value):
+            raise SpecError(f"instance {key!r} must be {expected}, got {value!r}")
+    if "prime" in values:
+        check_rank_parameters(values["prime"], values["trials"])
+
+
+def _instance_values(inst: dict, keys: Sequence[str]) -> list:
     missing = [key for key in keys if key not in inst]
     if missing:
         raise SpecError(f"instance block has no {missing[0]!r}")
-    for key in keys:
-        check, expected = _KEY_TYPES[key]
-        if not check(inst[key]):
-            raise SpecError(f"instance {key!r} must be {expected}, got {inst[key]!r}")
-    return [inst[key] for key in keys]
+    values = {key: inst[key] for key in keys}
+    _check_values(values)
+    return list(values.values())
 
 
-_FAMILY_KEYS = {
-    "section3": ("dims", "k"),
-    "section4": ("n", "m", "l", "alpha", "beta", "gamma", "k"),
-}
+def _entry(table: dict, name, what: str):
+    """`table[name]`, or a SpecError for an unknown `what`; `name` may be any JSON value."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise SpecError(f"unknown {what} {name!r}")
 
 
 def _family_key(inst: dict) -> tuple | None:
@@ -399,9 +415,7 @@ def _family_key(inst: dict) -> tuple | None:
     family = inst.get("family")
     if family == "custom":
         return None
-    if family not in _FAMILY_KEYS:
-        raise SpecError(f"unknown family {family!r}")
-    values = _instance_values(inst, *_FAMILY_KEYS[family])
+    values = _instance_values(inst, _entry(_FAMILY_KEYS, family, "family"))
     return (family, *(tuple(v) if isinstance(v, list) else v for v in values))
 
 
@@ -422,20 +436,8 @@ def _spec_from_instance(inst: dict, build=_build_family) -> MonadSpec:
 
 
 def _instance_from_args(args) -> tuple[dict, MonadSpec]:
-    family = args.family
-    if family == "section3":
-        if args.copies is None:
-            raise SpecError("--copies is required for family section3")
-        dims = copies_to_factors(_parse_int_list(args.copies))
-        inst = {"family": "section3", "dims": list(dims), "k": args.k}
-    elif family == "section4":
-        inst = {
-            "family": "section4",
-            "n": args.n, "m": args.m, "l": args.l,
-            "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-            "k": args.k,
-        }
-    elif family == "custom":
+    """The instance block the flags name, and its spec, built once."""
+    if args.family == "custom":
         if not args.spec_file:
             raise SpecError("--spec-file is required for family custom")
         path = Path(args.spec_file)
@@ -449,10 +451,13 @@ def _instance_from_args(args) -> tuple[dict, MonadSpec]:
             raise SpecError(f"{path}: top level must be an object")
         block.setdefault("family", "custom")
         spec = _custom_from_block(block, where=str(path))
-        inst = _custom_block_from_spec(spec, embed_maps=bool(block.get("maps")))
-        return inst, spec
-    else:
-        raise SpecError(f"unknown family {family!r}")
+        return _custom_block_from_spec(spec, embed_maps=bool(block.get("maps"))), spec
+    flags = vars(args)
+    if args.family == "section3":
+        if args.copies is None:
+            raise SpecError("--copies is required for family section3")
+        flags = dict(flags, dims=list(copies_to_factors(_parse_int_list(args.copies))))
+    inst = {"family": args.family, **{key: flags[key] for key in _FAMILY_KEYS[args.family]}}
     return inst, _spec_from_instance(inst)
 
 
@@ -466,28 +471,18 @@ def _build_result(spec: MonadSpec):
         "ranks": [spec.term_a.rank, spec.term_m.rank, spec.term_c.rank],
         "display": display_summary(spec),
         "maps": {
-            "f": {
-                "rows": spec.map_f.nrows,
-                "cols": spec.map_f.ncols,
-                "degree_consistent": spec.map_f.degree_consistent,
-            },
-            "g": {
-                "rows": spec.map_g.nrows,
-                "cols": spec.map_g.ncols,
-                "degree_consistent": spec.map_g.degree_consistent,
-            },
+            name: {"rows": m.nrows, "cols": m.ncols, "degree_consistent": m.degree_consistent}
+            for name, m in (("f", spec.map_f), ("g", spec.map_g))
         },
         "notes": list(spec.notes),
     }
 
 
-def _verify_result(spec: MonadSpec, inst: dict):
-    prime, trials, seed = _instance_values(inst, "prime", "trials", "seed")
+def _verify_result(spec: MonadSpec, prime: int, trials: int, seed: int):
     return verify_monad(spec, prime=prime, trials=trials, seed=seed)
 
 
-def _stability_result(spec: MonadSpec, inst: dict):
-    polarization, constraint = _instance_values(inst, "polarization", "constraint")
+def _stability_result(spec: MonadSpec, polarization, constraint: str):
     return stability_certificate(
         spec,
         polarization=tuple(polarization),
@@ -495,53 +490,62 @@ def _stability_result(spec: MonadSpec, inst: dict):
     )
 
 
-def _simplicity_result(spec: MonadSpec, inst: dict):
-    stab = _stability_result(spec, inst)
-    return simplicity_certificate(spec, stab)
+def _simplicity_result(spec: MonadSpec, polarization, constraint: str):
+    return simplicity_certificate(spec, _stability_result(spec, polarization, constraint))
 
 
-# document kind -> (file suffix, rebuild of the result from spec and instance)
+# document kind -> (file suffix, the instance keys its result reads, the result
+# from the spec and those keys' values); each result calls the layers through
+# this module's names, so a wrapper put on a name reaches every call
 _KINDS = {
-    "monad-build": ("build", lambda spec, inst: _build_result(spec)),
-    "monad-report": ("report", _verify_result),
-    "stability-certificate": ("stability", _stability_result),
-    "simplicity-certificate": ("simplicity", _simplicity_result),
+    "monad-build": ("build", (), _build_result),
+    "monad-report": ("report", ("prime", "trials", "seed"), _verify_result),
+    "stability-certificate": ("stability", ("polarization", "constraint"), _stability_result),
+    "simplicity-certificate": ("simplicity", ("polarization", "constraint"), _simplicity_result),
 }
 
 
 def _regenerate(doc: dict, build) -> dict:
     kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise SpecError(f"unknown document kind {kind!r}")
+    _, keys, result_of = _entry(_KINDS, kind, "document kind")
     inst = doc.get("instance")
     if not isinstance(inst, dict):
         raise SpecError("document has no instance block")
+    values = _instance_values(inst, keys)
     spec = _spec_from_instance(inst, build)
-    _, rebuild = _KINDS[kind]
-    return _document(kind, inst, rebuild(spec, inst))
+    return _document(kind, inst, result_of(spec, *values))
+
+
+def _run(args, kind: str, **values):
+    """Build the flags' instance once, compute its `kind` result and write the document.
+
+    Each instance key of the kind takes its value from `values`, else from
+    the flag of its name, and is checked before the build; a value of None
+    is the built instance's `default_<key>`.  Returns the instance block,
+    the spec, the result and the path written.
+    """
+    _, keys, result_of = _KINDS[kind]
+    values = {**{key: getattr(args, key) for key in keys}, **values}
+    _check_values({key: value for key, value in values.items() if value is not None})
+    inst, spec = _instance_from_args(args)
+    inst.update(
+        (key, getattr(spec, f"default_{key}") if value is None else value)
+        for key, value in values.items()
+    )
+    result = result_of(spec, *(inst[key] for key in keys))
+    return inst, spec, result, _write(args, kind, inst, spec, result)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _certify_inst(args, spec: MonadSpec, inst: dict) -> dict:
-    polarization = (
-        _parse_int_list(args.polarization)
-        if args.polarization
-        else spec.default_polarization
-    )
-    constraint = args.constraint or spec.default_constraint
-    inst = dict(inst)
-    inst["polarization"] = list(polarization)
-    inst["constraint"] = constraint
-    return inst
+def _run_stability(args):
+    polarization = list(_parse_int_list(args.polarization)) if args.polarization else None
+    return _run(args, "stability-certificate", polarization=polarization)
 
 
 def cmd_build(args) -> int:
-    inst, spec = _instance_from_args(args)
-    result = _build_result(spec)
-    doc = _document("monad-build", inst, result)
-    path = _write(args, doc, spec.instance_id)
+    _, spec, result, path = _run(args, "monad-build")
     display = result["display"]
     print(f"instance: {spec.instance_id}")
     print(f"terms: A = {spec.term_a}  M = {spec.term_m}  C = {spec.term_c}")
@@ -553,14 +557,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, spec = _instance_from_args(args)
-    inst = dict(inst)
-    inst["prime"] = args.prime
-    inst["trials"] = args.trials
-    inst["seed"] = args.seed
-    report = _verify_result(spec, inst)
-    doc = _document("monad-report", inst, report)
-    path = _write(args, doc, spec.instance_id)
+    _, _, report, path = _run(args, "monad-report")
     print(f"instance: {report.instance_id}")
     print(f"composite zero: {str(report.composite_zero).lower()}")
     for ev in (report.map_f, report.map_g):
@@ -579,11 +576,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify_stability(args) -> int:
-    inst, spec = _instance_from_args(args)
-    inst = _certify_inst(args, spec, inst)
-    cert = _stability_result(spec, inst)
-    doc = _document("stability-certificate", inst, cert)
-    path = _write(args, doc, spec.instance_id)
+    _, _, cert, path = _run_stability(args)
     print(f"instance: {cert.instance_id}")
     print(f"rank T = {cert.rank_t}, c1(T) = {cert.c1_t}")
     print(f"deg_L T = {cert.degree_t}, slope = {cert.slope_t}, k_E = {cert.k_e}")
@@ -607,19 +600,14 @@ def cmd_certify_stability(args) -> int:
 
 
 def cmd_certify_simplicity(args) -> int:
-    inst, spec = _instance_from_args(args)
-    inst = _certify_inst(args, spec, inst)
-    stab = _stability_result(spec, inst)
-    stab_doc = _document("stability-certificate", inst, stab)
-    stab_path = _write(args, stab_doc, spec.instance_id)
+    inst, spec, stab, stab_path = _run_stability(args)
     print(f"instance: {spec.instance_id}")
     print(f"stability verdict: {stab.verdict} (wrote: {stab_path})")
     if stab.verdict != "stable":
         print("simplicity not derivable without a stable kernel")
         return 1
     cert = simplicity_certificate(spec, stab)
-    doc = _document("simplicity-certificate", inst, cert)
-    path = _write(args, doc, spec.instance_id)
+    path = _write(args, "simplicity-certificate", inst, spec, cert)
     print(f"twist: {cert.twist}")
     for step in cert.steps:
         print(
@@ -749,7 +737,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--family",
         required=True,
-        choices=("section3", "section4", "custom"),
+        choices=(*_FAMILY_KEYS, "custom"),
         help="instance family",
     )
     sub.add_argument(
@@ -757,8 +745,9 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
         help="comma list: copies of P^1, P^3, P^5, ... (family section3)",
     )
     sub.add_argument("--k", type=int, default=1, help="band count k (default 1)")
-    for name in ("n", "m", "l", "alpha", "beta", "gamma"):
-        sub.add_argument(f"--{name}", type=int, default=1, help=f"{name} (family section4)")
+    for name in _FAMILY_KEYS["section4"]:
+        if name not in _FAMILY_KEYS["section3"]:
+            sub.add_argument(f"--{name}", type=int, default=1, help=f"{name} (family section4)")
     sub.add_argument("--spec-file", help="JSON instance file (family custom)")
     sub.add_argument("--out-dir", help="output directory (default $MONADCERT_OUT or .)")
 
@@ -767,7 +756,7 @@ def _add_certify_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--polarization", help="comma list; default: the family's polarization")
     sub.add_argument(
         "--constraint",
-        choices=tuple(mode.value for mode in TwistMode),
+        choices=_CONSTRAINTS,
         help="twist family; default: the family's constraint",
     )
 

@@ -11,6 +11,7 @@ long side, evaluated vector by vector, until it reaches the short side.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -31,8 +32,13 @@ PRIME_BOUND = 3317044064679887385961981
 """psi_13: the least strong pseudoprime to every base in _MR_BASES."""
 
 
+@functools.lru_cache(maxsize=16)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..41, deterministic for n < PRIME_BOUND."""
+    """Miller-Rabin to the bases 2..41, deterministic for n < PRIME_BOUND.
+
+    Cached, since a `verify` checks its one prime before the build and again
+    in the rank evidence of each map.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -419,6 +425,23 @@ class RankEvidence:
     points: tuple[tuple[tuple[int, ...], ...], ...]  # trial -> factor -> coords
 
 
+def check_rank_parameters(prime: int, trials: int) -> None:
+    """Raise ValueError unless `prime` is a prime in [2^20, PRIME_BOUND).
+
+    Also unless `trials` lies in [1, MAX_TRIALS]; `rank_at_random_points` takes no others.
+    """
+    if prime >= PRIME_BOUND:
+        raise ValueError(
+            f"prime {prime} is not below {PRIME_BOUND}, the bound under which primality is decided"
+        )
+    if not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    if prime < 2 ** 20:
+        raise ValueError(f"prime {prime} too small, need >= 2^20")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+
+
 def rank_at_random_points(
     m: MonadMatrix,
     prime: int = DEFAULT_PRIME,
@@ -433,16 +456,7 @@ def rank_at_random_points(
     rank reaches the short side; the rank does not depend on the order the
     vectors are taken in.  Deterministic for a fixed seed.
     """
-    if prime >= PRIME_BOUND:
-        raise ValueError(
-            f"prime {prime} is not below {PRIME_BOUND}, the bound under which primality is decided"
-        )
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    if prime < 2 ** 20:
-        raise ValueError(f"prime {prime} too small, need >= 2^20")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    check_rank_parameters(prime, trials)
     limit = min(m.nrows, m.ncols)
     rng = random.Random(seed)
     ranks = []
@@ -610,10 +624,7 @@ def triangular_witness(
     base = symbol.monomial
     for i, r in enumerate(rows):
         row = m.entries[r]
-        diagonal = row[cols[i]]
-        if not (
-            len(diagonal.terms) == 1 and base in diagonal.terms and any(base)
-        ) and not _is_power(diagonal, base):
+        if not _is_power(row[cols[i]], base):
             return None
         for c in cols[:i]:
             if row[c].terms and not any(_is_power(row[c], g) for g in guards):

@@ -2,21 +2,76 @@
 
 `perfbench/run.py --trace 1` patches every `monadcert.<module>.<attr>` that
 `perfbench/tracer.py` lists in TRACED, so a renamed function would break it
-with an AttributeError.  The tracer is loaded from its file and not changed.
+with an AttributeError, and a call made through a reference the patch does
+not replace would go uncounted.  The tracer is loaded from its file and not
+changed.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+from monadcert.cli import main
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_traced_functions_exist():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_exist():
+    tracer = _load_tracer()
     assert tracer.TRACED
     for _, module, attr, _ in tracer.TRACED:
         fn = getattr(importlib.import_module(f"monadcert.{module}"), attr, None)
         assert callable(fn), f"monadcert.{module}.{attr}"
+
+
+# calls each command makes to the traced builders and certifiers; a call that
+# goes around the names the tracer patches is missing from its counts
+CALLS = {
+    "build": {"monad.build": 1},
+    "verify": {"monad.build": 1, "monad.verify_monad": 1},
+    "certify-stability": {"monad.build": 1, "certify.stability_certificate": 1},
+    "certify-simplicity": {
+        "monad.build": 1,
+        "certify.stability_certificate": 1,
+        "certify.simplicity_certificate": 1,
+    },
+    # over the four documents the commands above write: one shared build
+    "recheck": {
+        "monad.build": 1,
+        "monad.verify_monad": 1,
+        "certify.stability_certificate": 2,
+        "certify.simplicity_certificate": 1,
+    },
+}
+
+
+def test_traced_calls_reach_every_command(tmp_path):
+    tracer = _load_tracer().Tracer()
+    instances = (
+        ("--family", "section3", "--copies", "1,1", "--k", "2"),
+        ("--family", "section4"),
+    )
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        for i, instance in enumerate(instances):
+            out = tmp_path / str(i)
+            for command, calls in CALLS.items():
+                if command == "recheck":
+                    argv = [command, *map(str, sorted(out.iterdir()))]
+                    assert len(argv) == 5, argv
+                else:
+                    argv = [command, *instance, "--out-dir", str(out)]
+                tracer.reset()
+                with tracer.job(command):
+                    assert main(argv) == 0, argv
+                metrics, _ = tracer.aggregate()
+                got = {name: metrics[f"{name}.calls"] for name in CALLS["recheck"]}
+                assert got == dict.fromkeys(got, 0) | calls, (instance, command)

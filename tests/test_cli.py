@@ -300,13 +300,19 @@ def test_error_exits(tmp_path):
                str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)) == 2
 
 
-def test_rank_check_parameters_out_of_range_exit_2(tmp_path, capsys):
+def _no_build(*args, **kwargs):
+    raise AssertionError("the instance was built before its values were checked")
+
+
+def test_rank_check_parameters_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
     # strong pseudoprimes to the bases 2..37 and 2..41, and too many trials
     cases = (("prime", 318665857834031151167461), ("prime", 3317044064679887385961981),
              ("trials", 1001))
     instance = ("--family", "section3", "--copies", "2", "--k", "1")
     assert run("verify", *instance, "--out-dir", str(tmp_path)) == 0
     (doc_path,) = tmp_path.iterdir()
+    # refused from the values alone, before the instance is built
+    monkeypatch.setattr(cli, "build_section3", _no_build)
     for key, value in cases:
         capsys.readouterr()
         assert run("verify", *instance, f"--{key}", str(value),
@@ -677,6 +683,23 @@ def test_recheck_refuses_tampered_section_instances(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {doc['instance']['family']} parameters: ")
         assert err.count("\n") == 1
+
+
+def test_recheck_unknown_kind_or_family_of_any_json_type(tmp_path, capsys):
+    # a list or an object is refused by name like an unknown string
+    doc = _section_doc(tmp_path, 0)
+    for key, value, what in (
+        ("kind", ["monad-build"], "document kind"),
+        ("family", ["section3"], "family"),
+        ("family", {"section3": 1}, "family"),
+    ):
+        tampered = json.loads(json.dumps(doc))
+        (tampered if key == "kind" else tampered["instance"])[key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(tampered, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("recheck", str(path)) == 2
+        assert capsys.readouterr().err == f"error: unknown {what} {value!r}\n"
 
 
 _INSTANCE_NON_INTS = st.one_of(
