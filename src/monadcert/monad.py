@@ -3,11 +3,15 @@
 A monad here is a three-term complex A --f--> M --g--> C of direct sums of
 line bundles with g*f = 0, f everywhere injective, g everywhere surjective.
 Both built families are one construction: k shifted copies of ladder
-blocks, laid out by `_ladder`, whose blocks cancel in pairs in g*f and
-whose entries each head a triangular rank witness.
+blocks, laid out by `_ladder_maps`, whose blocks cancel in pairs in g*f and
+whose entries each head a triangular rank witness, laid out by
+`_staircases`.
 `section3` takes two blocks of Segre coordinates over a product of
 odd-dimensional factors (trivial middle term); `section4` takes two blocks
 of coordinate powers for each factor pair of (P^n)^2 x (P^m)^2 x (P^l)^2.
+A builder computes the three terms from the block shapes at once and lays
+out the maps and the witnesses only when they are first read: the
+stability and simplicity certificates read the terms alone.
 `verify_monad` checks the defining conditions exactly: symbolic composite,
 the spec's triangular rank witnesses covering a pointwise-nonvanishing
 symbol family, and randomized finite-field rank evidence.
@@ -15,10 +19,11 @@ symbol family, and randomized finite-field rank evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from .cohomology import LineBundleSum
 from .polyring import (
@@ -41,7 +46,8 @@ from .polyring import (
 from .space import MultiDegree, ProductSpace, dimension_blocks
 
 WitnessFamily = tuple[str, tuple[WitnessSymbol, ...]]
-NamedEntries = Sequence[tuple[str, SparsePoly]]
+Maps = tuple[MonadMatrix, MonadMatrix]
+Witnesses = tuple[tuple[WitnessFamily, ...], tuple[tuple[str, TriangularWitness], ...]]
 
 
 BUILD_BUDGET = 200_000
@@ -136,12 +142,19 @@ def floystad_check(a: int, b: int, c: int, n: int) -> tuple[bool, bool]:
 class MonadSpec:
     """A concrete monad instance: terms, maps, and verification metadata.
 
+    The terms and parameters are fixed at construction; the maps and the
+    rank witnesses are derived values.  `make_maps` is called the first
+    time map_f or map_g is read, `make_witnesses` the first time
+    witness_families or witnesses is, and each result is kept, so a command
+    that reads only the terms lays out neither.
+
     map_f: A -> M and map_g: M -> C are stored rows = target summands,
     columns = source summands, so the composite is always mat_mul(g, f).
-    Row/column labels must equal the corresponding term's expanded degree
-    lists.  witness_families are the ordered symbol families for rank
-    witnesses, and witnesses the ("f" or "g", witness) pairs that
-    `verify_monad` checks for the family symbols they name.
+    Their shapes and row/column labels must equal the terms' ranks and
+    expanded degree lists, which is checked when the maps are made.
+    witness_families are the ordered symbol families for rank witnesses,
+    and witnesses the ("f" or "g", witness) pairs that `verify_monad`
+    checks for the family symbols they name.
     """
 
     family: str
@@ -150,33 +163,57 @@ class MonadSpec:
     term_a: LineBundleSum
     term_m: LineBundleSum
     term_c: LineBundleSum
-    map_f: MonadMatrix
-    map_g: MonadMatrix
     params: tuple[tuple[str, object], ...]
     default_polarization: MultiDegree
     default_constraint: str  # "per-group-negative" | "total-negative"
+    make_maps: Callable[[], Maps] = field(repr=False, compare=False)
+    make_witnesses: Callable[[], Witnesses] = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
-    witness_families: tuple[WitnessFamily, ...] = ()
-    witnesses: tuple[tuple[str, TriangularWitness], ...] = ()
 
     def __post_init__(self):
         ra, rm, rc = self.term_a.rank, self.term_m.rank, self.term_c.rank
         if rm < ra + rc:
             raise ValueError(f"middle rank {rm} below {ra} + {rc}")
-        if (self.map_f.nrows, self.map_f.ncols) != (rm, ra):
+        l = self.space.picard_rank
+        if len(self.default_polarization) != l:
+            raise ValueError("polarization length mismatch")
+
+    @functools.cached_property
+    def _maps(self) -> Maps:
+        map_f, map_g = self.make_maps()
+        ra, rm, rc = self.term_a.rank, self.term_m.rank, self.term_c.rank
+        if (map_f.nrows, map_f.ncols) != (rm, ra):
             raise ValueError("map_f shape does not match term ranks")
-        if (self.map_g.nrows, self.map_g.ncols) != (rc, rm):
+        if (map_g.nrows, map_g.ncols) != (rc, rm):
             raise ValueError("map_g shape does not match term ranks")
         deg_a = tuple(self.term_a.degrees())
         deg_m = tuple(self.term_m.degrees())
         deg_c = tuple(self.term_c.degrees())
-        if self.map_f.row_labels != deg_m or self.map_f.col_labels != deg_a:
+        if map_f.row_labels != deg_m or map_f.col_labels != deg_a:
             raise ValueError("map_f labels do not match term degrees")
-        if self.map_g.row_labels != deg_c or self.map_g.col_labels != deg_m:
+        if map_g.row_labels != deg_c or map_g.col_labels != deg_m:
             raise ValueError("map_g labels do not match term degrees")
-        l = self.space.picard_rank
-        if len(self.default_polarization) != l:
-            raise ValueError("polarization length mismatch")
+        return map_f, map_g
+
+    @property
+    def map_f(self) -> MonadMatrix:
+        return self._maps[0]
+
+    @property
+    def map_g(self) -> MonadMatrix:
+        return self._maps[1]
+
+    @functools.cached_property
+    def _witnesses(self) -> Witnesses:
+        return self.make_witnesses()
+
+    @property
+    def witness_families(self) -> tuple[WitnessFamily, ...]:
+        return self._witnesses[0]
+
+    @property
+    def witnesses(self) -> tuple[tuple[str, TriangularWitness], ...]:
+        return self._witnesses[1]
 
     @property
     def instance_id(self) -> str:
@@ -191,53 +228,63 @@ class MonadSpec:
         return "-".join(bits)
 
 
-def _ladder(
+def _ladder_maps(
     ring: CoordinateRing,
     k: int,
     deg_a: MultiDegree,
     deg_c: MultiDegree,
-    blocks: Sequence[tuple[MultiDegree, NamedEntries, NamedEntries]],
-) -> tuple[LineBundleSum, MonadMatrix, MonadMatrix, tuple[tuple[str, TriangularWitness], ...]]:
-    """The middle term, the maps f, g and the rank witnesses of k shifted copies of ladder blocks.
+    blocks: Sequence[tuple[MultiDegree, Sequence[SparsePoly], Sequence[SparsePoly]]],
+) -> Maps:
+    """The maps f, g of k shifted copies of ladder blocks.
 
     A block (deg, e_0..e_t, h_0..h_t) takes t+k middle summands of degree
-    `deg`; each entry comes with the name of the witness symbol it is a
-    power of.  Row j of g carries e_0..e_t from the block's column j; column
+    `deg`.  Row j of g carries e_0..e_t from the block's column j; column
     j of f carries h_t..h_0 down from the block's row j.  Entry (i, j) of
     g*f then sums e_s * h_{t-s+j-i} over each block, so a block (e, h)
     followed by one with entry products -h_s * e_r, such as (h, -e) or
     (-h, e), cancels in g*f for every k.
+    """
+    pad = [ring.zero()] * (k - 1)
+    g_rows = [[] for _ in range(k)]
+    f_cols = [[] for _ in range(k)]
+    labels = []
+    for deg, e, h in blocks:
+        for j in range(k):
+            g_rows[j] += [*pad[:j], *e, *pad[j:]]
+            f_cols[j] += [*pad[:j], *h[::-1], *pad[j:]]
+        labels += [deg] * (len(e) - 1 + k)
+    map_g = MonadMatrix(ring, g_rows, [deg_c] * k, labels)
+    map_f = MonadMatrix(ring, zip(*f_cols), labels, [deg_a] * k)
+    return map_f, map_g
 
-    With `off` the block's first middle summand, e_s heads the staircase of
-    g on rows 0..k-1 and columns off+s.., h_s the one of f on rows
-    off+t-s.. and columns 0..k-1; below the diagonal sit the block's
-    entries s-k+1..s-1 and zeros, so those names are the guards.
+
+def _staircases(
+    k: int, blocks: Sequence[tuple[tuple[str, ...], tuple[str, ...]]]
+) -> tuple[tuple[str, TriangularWitness], ...]:
+    """The rank witnesses of the maps `_ladder_maps` lays out from the same blocks.
+
+    Index arithmetic only: a block is given by the names of the witness
+    symbols its entries e_0..e_t and h_0..h_t are powers of.  With `off`
+    the block's first middle summand, e_s heads the staircase of g on rows
+    0..k-1 and columns off+s.., h_s the one of f on rows off+t-s.. and
+    columns 0..k-1; below the diagonal sit the block's entries s-k+1..s-1
+    and zeros, so those names are the guards.
     """
     def staircase(names: tuple[str, ...], s: int, rows: tuple, cols: tuple) -> TriangularWitness:
         guards = names[max(0, s - k + 1) : s]
         return TriangularWitness(names[s], rows, cols, not guards, guards)
 
-    pad = [ring.zero()] * (k - 1)
-    g_rows = [[] for _ in range(k)]
-    f_cols = [[] for _ in range(k)]
-    labels = []
     witnesses = []
     diagonal = tuple(range(k))
-    for deg, e, h in blocks:
-        off, t = len(labels), len(e) - 1
-        (e_names, e_polys), (h_names, h_polys) = zip(*e), zip(*h)
-        for j in range(k):
-            g_rows[j] += [*pad[:j], *e_polys, *pad[j:]]
-            f_cols[j] += [*pad[:j], *h_polys[::-1], *pad[j:]]
-        labels += [deg] * (t + k)
+    off = 0
+    for e_names, h_names in blocks:
+        t = len(e_names) - 1
         window = tuple(range(off, off + t + k))  # the block's middle summands
         for s in range(t + 1):
             witnesses.append(("g", staircase(e_names, s, diagonal, window[s : s + k])))
             witnesses.append(("f", staircase(h_names, s, window[t - s : t - s + k], diagonal)))
-    term_m = LineBundleSum([(deg, len(e) - 1 + k) for deg, e, _ in blocks])
-    map_g = MonadMatrix(ring, g_rows, [deg_c] * k, labels)
-    map_f = MonadMatrix(ring, zip(*f_cols), labels, [deg_a] * k)
-    return term_m, map_f, map_g, tuple(witnesses)
+        off += t + k
+    return tuple(witnesses)
 
 
 def build_section3(space: ProductSpace, k: int) -> MonadSpec:
@@ -247,6 +294,9 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
     Segre coordinates z_t (one coordinate per factor, mixed-radix order) are
     split as x_t = z_t and y_t = z_{nu+1+t}; the two ladder blocks are
     (x, -y) and (y, x), so each x_a*y_b term in g*f meets its mirror.
+    Each block takes nu+k middle summands, so M = O^{2nu+2k} is known from
+    the factor dimensions; the Segre monomials, the maps and the witnesses
+    are made on first read.
 
     The returned space groups its factors by dimension; those groups are the
     twist family the stability certificate quantifies over for this family.
@@ -265,35 +315,40 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
     space = ProductSpace(factors, groups=dimension_blocks(factors))
     l = len(factors)
     ring = CoordinateRing(factors)
-    # mixed-radix order: the first factor most significant, the last fastest
-    coords = itertools.product(*(range(n + 1) for n in factors))
-    monomials = [ring.unit_monomial(enumerate(c)) for c in coords]
-    half = len(monomials) // 2
-    symbols = tuple(
-        WitnessSymbol(name=(f"x{t}" if t < half else f"y{t - half}"), monomial=mono)
-        for t, mono in enumerate(monomials)
-    )
-    segre = [(s.name, SparsePoly(ring, {s.monomial: 1})) for s in symbols]
-    x, y = segre[:half], segre[half:]
+    half = segre_count // 2
+    x_names = tuple(f"x{t}" for t in range(half))
+    y_names = tuple(f"y{t}" for t in range(half))
     ones, zeros, neg_ones = (1,) * l, (0,) * l, (-1,) * l
-    term_m, map_f, map_g, witnesses = _ladder(
-        ring, k, neg_ones, ones, [(zeros, x, [(name, -p) for name, p in y]), (zeros, y, x)]
-    )
+
+    @functools.cache
+    def symbols() -> tuple[WitnessSymbol, ...]:
+        # mixed-radix order: the first factor most significant, the last fastest
+        coords = itertools.product(*(range(n + 1) for n in factors))
+        return tuple(
+            WitnessSymbol(name=name, monomial=ring.unit_monomial(enumerate(c)))
+            for name, c in zip(x_names + y_names, coords)
+        )
+
+    def maps() -> Maps:
+        segre = [SparsePoly(ring, {s.monomial: 1}) for s in symbols()]
+        x, y = segre[:half], segre[half:]
+        return _ladder_maps(ring, k, neg_ones, ones, [(zeros, x, [-p for p in y]), (zeros, y, x)])
+
+    def witnesses() -> Witnesses:
+        return (("segre", symbols()),), _staircases(k, [(x_names, y_names), (y_names, x_names)])
 
     return MonadSpec(
         family="section3",
         space=space,
         ring=ring,
         term_a=LineBundleSum([(neg_ones, k)]),
-        term_m=term_m,
+        term_m=LineBundleSum([(zeros, segre_count - 2 + 2 * k)]),
         term_c=LineBundleSum([(ones, k)]),
-        map_f=map_f,
-        map_g=map_g,
         params=(("dims", factors), ("k", k)),
-        witness_families=(("segre", symbols),),
-        witnesses=witnesses,
         default_polarization=ones,
         default_constraint="per-group-negative",
+        make_maps=maps,
+        make_witnesses=witnesses,
         notes=(
             "middle coordinates are Segre monomials, mixed-radix order with the first factor most significant",
         ),
@@ -309,7 +364,9 @@ def build_section4(
     factor pair with power p (alpha, beta, gamma) gives two ladder blocks,
     (u^p, v^p) and (v^p, -u^p) for the first pair; a block's middle summands
     have degree -p on its own factor (the one of its g entries) and 0
-    elsewhere.
+    elsewhere.  The block of factor f takes factors[f] + k middle summands,
+    so M is known from the parameters; the coordinate powers, the maps and
+    the witnesses are made on first read.
 
     Matrix entries are powers of single coordinates, so an entry's own
     multidegree lives in one factor while the block labels record the term
@@ -327,45 +384,47 @@ def build_section4(
     ring = CoordinateRing(factors, letters=letters)
     c_deg = (alpha, alpha, beta, beta, gamma, gamma)
     a_deg = tuple(-d for d in c_deg)
+    # the block of factor f: its g entries are powers of f's coordinates
+    # and its f entries of its pair's, f ^ 1
+    block_deg = [tuple(a_deg[f] if j == f else 0 for j in range(6)) for f in range(6)]
+    names = [tuple(f"{c}{s}" for s in range(d + 1)) for c, d in zip(letters, factors)]
 
-    blocks = []
-    for i in (0, 2, 4):
-        first, second = (
-            [(f"{letters[f]}{s}", ring.variable(f, s) ** c_deg[f]) for s in range(factors[f] + 1)]
-            for f in (i, i + 1)
-        )
-        for f, e, h in ((i, first, second), (i + 1, second, [(n, -p) for n, p in first])):
-            blocks.append((tuple(a_deg[f] if j == f else 0 for j in range(6)), e, h))
-    term_m, map_f, map_g, witnesses = _ladder(ring, k, a_deg, c_deg, blocks)
+    def maps() -> Maps:
+        powers = [
+            [ring.variable(f, s) ** c_deg[f] for s in range(factors[f] + 1)] for f in range(6)
+        ]
+        # the second block of a pair negates its f entries, so the pair cancels in g*f
+        blocks = [
+            (block_deg[f], powers[f], [-p for p in powers[f ^ 1]] if f % 2 else powers[f ^ 1])
+            for f in range(6)
+        ]
+        return _ladder_maps(ring, k, a_deg, c_deg, blocks)
 
-    families = tuple(
-        (
-            c,
-            tuple(
-                WitnessSymbol(name=f"{c}{s}", monomial=ring.unit_monomial([(i, s)]))
-                for s in range(factors[i] + 1)
-            ),
+    def witnesses() -> Witnesses:
+        families = tuple(
+            (c, tuple(
+                WitnessSymbol(name=name, monomial=ring.unit_monomial([(i, s)]))
+                for s, name in enumerate(names[i])
+            ))
+            for i, c in enumerate(letters)
         )
-        for i, c in enumerate(letters)
-    )
+        return families, _staircases(k, [(names[f], names[f ^ 1]) for f in range(6)])
 
     return MonadSpec(
         family="section4",
         space=space,
         ring=ring,
         term_a=LineBundleSum([(a_deg, k)]),
-        term_m=term_m,
+        term_m=LineBundleSum([(block_deg[f], factors[f] + k) for f in range(6)]),
         term_c=LineBundleSum([(c_deg, k)]),
-        map_f=map_f,
-        map_g=map_g,
         params=(
             ("n", n), ("m", m), ("l", l),
             ("alpha", alpha), ("beta", beta), ("gamma", gamma), ("k", k),
         ),
-        witness_families=families,
-        witnesses=witnesses,
         default_polarization=c_deg,
         default_constraint="total-negative",
+        make_maps=maps,
+        make_witnesses=witnesses,
         notes=(
             "entry_reading: coordinate-powers",
             "entry multidegrees live in a single factor; labels record summand degrees, so per-entry degree consistency fails by design",
@@ -390,13 +449,18 @@ def custom_monad(
     polarization: MultiDegree | None = None,
     constraint: str = "per-group-negative",
     notes: tuple[str, ...] = (),
+    witness_families: Sequence[WitnessFamily] = (),
+    witnesses: Sequence[tuple[str, TriangularWitness]] = (),
 ) -> MonadSpec:
-    """Wrap explicit terms (and optional matrices) as a MonadSpec.
+    """Wrap explicit terms, and optional matrices and rank witnesses, as a MonadSpec.
 
     Omitted maps default to zero matrices of the right shape; such a spec
-    supports display and certificate arithmetic but will not verify.  The
-    spec has no witness families or witnesses; attach them with
-    `dataclasses.replace`.  Specs over BUILD_BUDGET are refused.
+    supports display and certificate arithmetic but will not verify.
+    `witness_families` and `witnesses` are what `verify_monad` certifies
+    the maps' rank with (see MonadSpec); `oracles.witness_by_scan` finds a
+    witness by a whole-matrix search.  The maps are checked against the
+    terms here, not on first read, so a spec whose labels do not match is
+    refused at construction.  Specs over BUILD_BUDGET are refused.
     """
     slug = re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
     if not slug:
@@ -411,20 +475,24 @@ def custom_monad(
         map_g = zero_map(ring, term_c, term_m)
     if polarization is None:
         polarization = (1,) * space.picard_rank
-    return MonadSpec(
+    maps = (map_f, map_g)
+    listed = (tuple(witness_families), tuple(witnesses))
+    spec = MonadSpec(
         family="custom",
         space=space,
         ring=ring,
         term_a=term_a,
         term_m=term_m,
         term_c=term_c,
-        map_f=map_f,
-        map_g=map_g,
         params=(("name", slug),),
         default_polarization=tuple(polarization),
         default_constraint=constraint,
+        make_maps=lambda: maps,
+        make_witnesses=lambda: listed,
         notes=notes,
     )
+    spec._maps  # the first read checks the maps against the terms
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
 truncated polynomial ring, ranks come from Gauss-Jordan on matrices
 evaluated entry by entry, common zeros are sought at every point over F_2,
-triangular witnesses are searched for over the whole matrix, and a
-document's text is written by the json module's encoder.
+triangular witnesses are searched for over the whole matrix, degree
+mismatches are found entry by entry, and a document's text is written by
+the json module's encoder.
 `selftest` runs SUITES; the tests call the same oracles and check functions
 with their own seeds and ranges.  A check function raises AssertionError on
 the first disagreement.
@@ -228,6 +229,27 @@ def pure_power_exponent(poly: SparsePoly, base: Monomial) -> int | None:
     if rem or e < 1 or mono != tuple(e * b for b in base):
         return None
     return e
+
+
+def degree_mismatches_by_entries(m: MonadMatrix) -> tuple[tuple[int, int, MultiDegree, MultiDegree], ...]:
+    """`MonadMatrix.degree_mismatches` recomputed entry by entry.
+
+    Takes every nonzero entry in row-major order, its row label minus its
+    column label afresh, and each monomial's multidegree by adding every
+    exponent into the factor its variable belongs to.
+    """
+    bad = []
+    for r, row in enumerate(m.entries):
+        for c, entry in enumerate(row):
+            expected = tuple(a - b for a, b in zip(m.row_labels[r], m.col_labels[c]))
+            for mono in entry.terms:
+                degree = [0] * len(m.ring.factors)
+                for var, e in enumerate(mono):
+                    degree[m.ring.var_factor[var]] += e
+                if tuple(degree) != expected:
+                    bad.append((r, c, tuple(degree), expected))
+                    break
+    return tuple(bad)
 
 
 def witness_by_scan(
@@ -471,6 +493,57 @@ def check_rank_evidence(seed: int, draws: int, trials: int) -> None:
     assert deficient, "no rank-deficient matrix drawn"
 
 
+def check_degree_mismatches(seed: int, draws: int) -> None:
+    """MonadMatrix.degree_mismatches against degree_mismatches_by_entries on
+    random matrices of forms up to 5 x 5, 0 x n and n x 0 included.
+
+    Each side's labels are drawn from one to three values, so differences
+    repeat, and some are negative.  An entry is a sum of zero to three
+    monomials, each of the degree its labels ask or, in a fifth of the
+    draws, of that degree plus one in one factor, so homogeneous,
+    wrong-degree and inhomogeneous entries all occur.  A third of the
+    matrices get a zero row or column.
+    """
+    rng = random.Random(seed)
+    mismatched = 0
+    for _ in range(draws):
+        ring = CoordinateRing(tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3))))
+        l = len(ring.factors)
+        row_pool = [tuple(rng.randint(0, 2) for _ in range(l)) for _ in range(rng.randint(1, 3))]
+        col_pool = [tuple(rng.randint(-1, 1) for _ in range(l)) for _ in range(rng.randint(1, 3))]
+        row_labels = [rng.choice(row_pool) for _ in range(rng.randint(0, 5))]
+        col_labels = [rng.choice(col_pool) for _ in range(rng.randint(0, 5))]
+        rows = []
+        for rl in row_labels:
+            row = []
+            for cl in col_labels:
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    degree = [a - b for a, b in zip(rl, cl)]
+                    if rng.random() < 0.2:
+                        degree[rng.randrange(l)] += 1
+                    if min(degree) >= 0:
+                        exps = [0] * ring.nvars
+                        for off, n, d in zip(ring.offsets, ring.factors, degree):
+                            for _ in range(d):
+                                exps[off + rng.randint(0, n)] += 1
+                        terms[tuple(exps)] = rng.choice((-2, -1, 1, 3))
+                row.append(SparsePoly(ring, terms))
+            rows.append(row)
+        if rows and col_labels and rng.random() < 1 / 3:
+            if rng.random() < 0.5:
+                rows[rng.randrange(len(rows))] = [ring.zero()] * len(col_labels)
+            else:
+                c = rng.randrange(len(col_labels))
+                for row in rows:
+                    row[c] = ring.zero()
+        m = MonadMatrix(ring, rows, row_labels, col_labels)
+        got, want = m.degree_mismatches(), degree_mismatches_by_entries(m)
+        assert got == want, f"{row_labels} x {col_labels} {rows}: {got} != {want}"
+        mismatched += bool(got)
+    assert mismatched, "no degree mismatch drawn"
+
+
 def check_built_witnesses(spec: MonadSpec) -> None:
     """Each witness a builder lays out is the one the reference scan finds.
 
@@ -513,4 +586,5 @@ SUITES = (
     ("common-zero-vs-points", partial(check_common_zero, seed=86028121, draws=300)),
     ("monad-validity", check_monads),
     ("rank-evidence-vs-entries", partial(check_rank_evidence, seed=67867967, draws=40, trials=2)),
+    ("degree-mismatches-vs-entries", partial(check_degree_mismatches, seed=15485867, draws=200)),
 )

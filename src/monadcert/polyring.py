@@ -314,19 +314,29 @@ class MonadMatrix:
 
         Each is reported with the multidegree of its first such monomial, so
         an inhomogeneous entry is reported whatever the order of its terms.
+        Labels are a few shared values, so each distinct row - col
+        difference is taken once, and so is each distinct monomial's
+        multidegree, as sums over the factors' slices of its exponents.
         """
+        ring = self.ring
+        slices = [slice(off, off + n + 1) for off, n in zip(ring.offsets, ring.factors)]
         degree_of: dict[Monomial, MultiDegree] = {}
+        distinct: dict[MultiDegree, int] = {}
+        col_class = [distinct.setdefault(cl, len(distinct)) for cl in self.col_labels]
+        differences: dict[MultiDegree, list[MultiDegree]] = {}
         bad = []
-        rows = enumerate(zip(self.row_labels, self.entries)) if self.ncols else ()
-        for r, (rl, row) in rows:
+        for r, (rl, row) in enumerate(zip(self.row_labels, self.entries)):
+            expected_at = differences.get(rl)
+            if expected_at is None:
+                expected_at = differences[rl] = [tuple(map(sub, rl, cl)) for cl in distinct]
             for c, e in enumerate(row):
                 if not e.terms:
                     continue
-                expected = tuple(map(sub, rl, self.col_labels[c]))
+                expected = expected_at[col_class[c]]
                 for mono in e.terms:
                     found = degree_of.get(mono)
                     if found is None:
-                        found = degree_of[mono] = self.ring.multidegree(mono)
+                        found = degree_of[mono] = tuple(map(sum, map(mono.__getitem__, slices)))
                     if found != expected:
                         bad.append((r, c, found, expected))
                         break

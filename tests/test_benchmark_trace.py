@@ -52,6 +52,9 @@ CALLS = {
         "certify.simplicity_certificate": 1,
     },
 }
+# calls that read a map or a rank witness: only `verify` and the recheck of
+# its document make them, and the certificates make none
+READERS = ("polyring.mat_mul", "polyring.rank_at_random_points", "polyring.triangular_witness")
 
 
 def test_traced_calls_reach_every_command(tmp_path):
@@ -75,3 +78,8 @@ def test_traced_calls_reach_every_command(tmp_path):
                 metrics, _ = tracer.aggregate()
                 got = {name: metrics[f"{name}.calls"] for name in CALLS["recheck"]}
                 assert got == dict.fromkeys(got, 0) | calls, (instance, command)
+                mat_mul, rank, witness = (metrics[f"{name}.calls"] for name in READERS)
+                if "monad.verify_monad" in calls:
+                    assert (mat_mul, rank) == (1, 2) and witness > 0, (instance, command)
+                else:
+                    assert (mat_mul, rank, witness) == (0, 0, 0), (instance, command)

@@ -8,13 +8,16 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monadcert import cli
+from monadcert import cli, monad
 from monadcert.cli import main
+from monadcert.space import ProductSpace
 
 
 COUNTEREXAMPLE = {
@@ -225,6 +228,69 @@ def test_recheck_shares_a_build_only_within_one_instance(tmp_path, monkeypatch):
         assert lines == [line for p in order for line in alone[p][1]]
         assert code == max(alone[p][0] for p in order)
         assert len(builds) == count
+
+
+# an instance of each built family, and its spec
+LAZY_INSTANCES = {
+    "section3": (("--family", "section3", "--copies", "1,1", "--k", "2"),
+                 lambda: monad.build_section3(ProductSpace((1, 3)), 2)),
+    "section4": (("--family", "section4", "--n", "2", "--k", "2"),
+                 lambda: monad.build_section4(2, 1, 1, 1, 1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("family", LAZY_INSTANCES)
+def test_commands_lay_out_only_what_they_read(tmp_path, monkeypatch, family):
+    # the maps and witnesses each command makes; the certificates read the terms alone
+    instance, build = LAZY_INSTANCES[family]
+    witnesses = len(build().witnesses)
+    made = Counter()
+    for name in ("MonadMatrix", "TriangularWitness"):
+        def counted(*args, _cls=getattr(monad, name), _name=name):
+            made[_name] += 1
+            return _cls(*args)
+
+        monkeypatch.setattr(monad, name, counted)
+
+    def made_by(*argv):
+        made.clear()
+        assert run(*argv) == 0, argv
+        return made["MonadMatrix"], made["TriangularWitness"]
+
+    out = str(tmp_path)
+    assert made_by("certify-stability", *instance, "--out-dir", out) == (0, 0)
+    assert made_by("certify-simplicity", *instance, "--out-dir", out) == (0, 0)
+    assert made_by("build", *instance, "--out-dir", out) == (2, 0)
+    assert made_by("verify", *instance, "--out-dir", out) == (2, witnesses)
+    docs = sorted(map(str, tmp_path.iterdir()))
+    assert [doc.split(".")[-2] for doc in docs] == ["build", "report", "simplicity", "stability"]
+    assert made_by("recheck", *docs[2:]) == (0, 0)
+    # the four documents share one build, which lays out its maps once
+    assert made_by("recheck", *docs) == (2, witnesses)
+
+
+def _no_layout(*args, **kwargs):
+    raise AssertionError("a map or witness was laid out")
+
+
+def test_wrong_length_polarization_exits_2_before_any_map(tmp_path, capsys, monkeypatch):
+    instance = ("--family", "section3", "--copies", "8", "--k", "3")
+    monkeypatch.setattr(monad, "_ladder_maps", _no_layout)
+    monkeypatch.setattr(monad, "_staircases", _no_layout)
+    assert run("certify-stability", *instance, "--out-dir", str(tmp_path)) in (0, 1)
+    (doc_path,) = tmp_path.iterdir()
+    doc = json.loads(doc_path.read_text())
+    doc["instance"]["polarization"] = [1, 1]
+    doc_path.write_text(json.dumps(doc, indent=2) + "\n")
+    for argv in (
+        ("certify-stability", *instance, "--polarization", "1,1", "--out-dir", str(tmp_path / "out")),
+        ("certify-simplicity", *instance, "--polarization", "1,1", "--out-dir", str(tmp_path / "out")),
+        ("recheck", str(doc_path)),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == "error: multidegree (1, 1) has length 2, expected 8\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_documents_are_deterministic(tmp_path):

@@ -17,7 +17,6 @@ import pytest
 from monadcert.cohomology import LineBundleSum
 from monadcert.monad import (
     BUILD_BUDGET,
-    MonadSpec,
     build_section3,
     build_section4,
     copies_to_factors,
@@ -174,6 +173,24 @@ def test_build_section3_composite_zero():
         assert mat_mul(s.map_g, s.map_f).is_zero(), (factors, k)
         assert s.map_g.degree_consistent
         assert s.map_f.degree_consistent
+
+
+def test_term_m_is_the_ladder_row_labels_on_the_grid():
+    # the builders compute M from the block shapes, before any map exists
+    specs = [
+        build_section3(ProductSpace(factors), k)
+        for factors in [(1, 1), (1, 3), (1, 1, 3), (1, 5)]
+        for k in (1, 2, 3)
+    ]
+    specs += [
+        build_section4(n, m, l, a, b, g, k)
+        for (n, m, l) in [(1, 1, 1), (2, 1, 1), (2, 2, 1)]
+        for a, b, g in itertools.product((1, 2), repeat=3)
+        for k in (1, 2)
+    ]
+    for s in specs:
+        map_f, map_g = s.make_maps()
+        assert tuple(s.term_m.degrees()) == map_f.row_labels == map_g.col_labels, s.instance_id
 
 
 def test_build_section3_shapes():
@@ -365,8 +382,9 @@ def test_verify_refuses_family_with_common_zero():
     r = CoordinateRing((1,))
     f = MonadMatrix(r, [[r.variable(0, 0)]], [(0,)], [(-1,)])
     g = MonadMatrix(r, [], [], [(0,)])
-    spec = dataclasses.replace(
-        custom_monad(
+
+    def spec_with(families):
+        return custom_monad(
             "x0 only",
             ProductSpace((1,)),
             LineBundleSum([((-1,), 1)]),
@@ -374,20 +392,18 @@ def test_verify_refuses_family_with_common_zero():
             LineBundleSum([]),
             map_f=f,
             map_g=g,
-        ),
-        witness_families=(("x0only", (WitnessSymbol("x0", (1, 0)),)),),
-        witnesses=(("f", TriangularWitness("x0", (0,), (0,), True, ())),),
-    )
-    rep = verify_monad(spec, trials=3)
+            witness_families=families,
+            witnesses=(("f", TriangularWitness("x0", (0,), (0,), True, ())),),
+        )
+
+    rep = verify_monad(spec_with((("x0only", (WitnessSymbol("x0", (1, 0)),)),)), trials=3)
     assert rep.map_f.rank_matches  # random points miss the zero of x0
     assert rep.map_f.covering_family is None
     assert rep.map_f.families == ()
     assert not rep.valid
     assert rep.notes == ("witness family 'x0only' not used: every symbol vanishes at [0:1]",)
     # with x1 added the family covers, and the same map still needs x1's witness
-    both = dataclasses.replace(
-        spec, witness_families=(("x", (WitnessSymbol("x0", (1, 0)), WitnessSymbol("x1", (0, 1)))),)
-    )
+    both = spec_with((("x", (WitnessSymbol("x0", (1, 0)), WitnessSymbol("x1", (0, 1)))),))
     rep = verify_monad(both, trials=3)
     assert rep.notes == () and rep.map_f.families[0].missing == ("x1",)
     assert not rep.valid
@@ -429,32 +445,39 @@ def test_verify_checks_listed_witnesses():
     (i,) = [i for i, (name, w) in enumerate(spec.witnesses) if (name, w.symbol) == ("g", "x1")]
     name, w = spec.witnesses[i]
     moved = dataclasses.replace(w, cols=tuple(c + 1 for c in w.cols))
-    tampered = dataclasses.replace(
-        spec, witnesses=spec.witnesses[:i] + ((name, moved),) + spec.witnesses[i + 1 :]
-    )
+
+    def spec_with(witnesses):
+        return custom_monad(
+            "listed witnesses",
+            spec.space,
+            spec.term_a,
+            spec.term_m,
+            spec.term_c,
+            map_f=spec.map_f,
+            map_g=spec.map_g,
+            witness_families=spec.witness_families,
+            witnesses=witnesses,
+        )
+
+    assert verify_monad(spec_with(spec.witnesses), trials=3).valid
+    tampered = spec_with(spec.witnesses[:i] + ((name, moved),) + spec.witnesses[i + 1 :])
     rep = verify_monad(tampered, trials=3)
     assert rep.map_g.families[0].missing == ("x1",) and not rep.map_g.cover_complete
     assert rep.map_f.cover_complete and not rep.valid
     # without its witnesses the same monad is not certified
-    rep = verify_monad(dataclasses.replace(spec, witnesses=()), trials=3)
+    rep = verify_monad(spec_with(()), trials=3)
     assert rep.map_f.families[0].complete is False and not rep.valid
 
 
 def test_monad_spec_rejects_mismatched_labels():
     s = build_section3(ProductSpace((1, 1)), 1)
     wrong_c = LineBundleSum([((2, 2), 1)])
-    with pytest.raises(ValueError):
-        MonadSpec(
-            family=s.family,
-            space=s.space,
-            ring=s.ring,
-            term_a=s.term_a,
-            term_m=s.term_m,
-            term_c=wrong_c,
-            map_f=s.map_f,
-            map_g=s.map_g,
-            params=s.params,
-            witness_families=s.witness_families,
-            default_polarization=s.default_polarization,
-            default_constraint=s.default_constraint,
+    # a built spec checks its maps when they are first read
+    lazy = dataclasses.replace(s, term_c=wrong_c)
+    with pytest.raises(ValueError, match="map_g labels"):
+        lazy.map_f
+    # a custom spec checks the maps it is given at construction
+    with pytest.raises(ValueError, match="map_g labels"):
+        custom_monad(
+            "wrong c", s.space, s.term_a, s.term_m, wrong_c, map_f=s.map_f, map_g=s.map_g
         )

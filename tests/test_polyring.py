@@ -243,6 +243,12 @@ def test_degree_consistency():
         assert mixed.degree_mismatches() == ((0, 0, (2, 0), (1, 0)),)
 
 
+def test_degree_mismatches_match_entrywise_reference():
+    # repeated and negative label differences, inhomogeneous and wrong-degree
+    # entries, zero rows and columns, empty shapes
+    oracles.check_degree_mismatches(seed=1299709, draws=2000)
+
+
 def test_mat_mul_hand_example():
     r = _ring2()
     u0, u1 = r.variable(0, 0), r.variable(0, 1)
@@ -758,14 +764,12 @@ def test_common_zero_search_is_bounded():
         common_zero(ring, family)
     # verify leaves an undecided family out instead of searching on
     symbols = tuple(WitnessSymbol(f"s{t}", m) for t, m in enumerate(family))
-    spec = dataclasses.replace(
-        custom_monad(
-            "branching",
-            ProductSpace((1,) * 16),
-            LineBundleSum([]),
-            LineBundleSum([((0,) * 16, 1)]),
-            LineBundleSum([]),
-        ),
+    spec = custom_monad(
+        "branching",
+        ProductSpace((1,) * 16),
+        LineBundleSum([]),
+        LineBundleSum([((0,) * 16, 1)]),
+        LineBundleSum([]),
         witness_families=(("branching", symbols),),
     )
     assert verify_monad(spec, trials=1).notes == (
