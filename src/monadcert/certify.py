@@ -5,15 +5,16 @@ by B injects into h^0 of the twisted exterior power of the middle term, which
 is a sum of line bundles, so exact vanishing over a constrained twist family
 reduces to a sign condition on subset-sums of middle degrees: q fails iff
 some q-subset has every constrained sum (the total, or one per group) >= 1.
-One reachability DP over (subset size, constrained sums of the subset)
-decides every q at once.  It drops a state as soon as some sum cannot reach
-1 even with every remaining positive contribution taken in full, which is
-the most the remaining summands can add, so the pruning is exact.  Only a
-failing q lists its subset sums, via cohomology.exterior_power, to report
-the lexicographically first violated one as the witness.  Simplicity
-chases dimensions through the dual kernel sequence.  Certificates only ever
-claim what was actually checked; any gap degrades the verdict, never the
-other way around.
+One DP over the summand degrees, with states (subset size, constrained sums
+of the subset), decides and witnesses every q at once.  It drops a state as
+soon as some sum cannot reach 1 even with every remaining positive
+contribution taken in full, which is the most the remaining summands can
+add, so the pruning is exact.  Each state keeps the lexicographically least
+full subset sum t_S reaching it, so the least one over the surviving states
+at size q is the witness for q: the lexicographically first violated t_S.
+Simplicity chases dimensions through the dual kernel sequence.  Certificates
+only ever claim what was actually checked; any gap degrades the verdict,
+never the other way around.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cohomology import LineBundleSum, exterior_power, h_sum
+from .cohomology import LineBundleSum, h_sum
 from .monad import MonadSpec, display_summary
 from .space import (
     MultiDegree,
@@ -57,73 +57,61 @@ class QResult:
     witness_profile: MultiDegree | None
 
 
-def _constrained_sums(
-    x: ProductSpace, d: Sequence[int], constraint: TwistMode
-) -> tuple[int, ...]:
-    # the sums of a multidegree that the twist family bounds
-    if constraint is TwistMode.TOTAL_NEGATIVE:
-        return (sum(d),)
-    return tuple(s for _, s in x.group_sums(d))
-
-
-def _profile_violated(
-    x: ProductSpace, t_s: MultiDegree, constraint: TwistMode
-) -> bool:
-    # a twist B in the family with B + t_S >= 0 exists iff B = -t_S qualifies,
-    # i.e. iff every constrained sum of t_S is strictly positive
-    return min(_constrained_sums(x, t_s, constraint)) >= 1
-
-
-def _failing_counts(
+def _per_q(
     x: ProductSpace, middle: LineBundleSum, q_max: int, constraint: TwistMode
-) -> set[int]:
-    """Every q in 1..q_max for which some q-subset of middle has a violated profile.
+) -> tuple[QResult, ...]:
+    """The verdict and witness of every q in 1..q_max, from one DP.
 
-    Reachability DP over (count, constrained-sum vector).  A state is dropped
-    as soon as one of its sums stays below 1 even if every later summand
-    with a positive entry there is taken in full; that headroom is the most
-    the rest can add, so no violating subset is ever dropped.  After the
-    last summand the headroom is zero, so every surviving state is one.
+    One step per summand degree, over states (count, constrained sums); each
+    state keeps the lexicographically least full sum t_S of a subset reaching
+    it.  Every completion adds the same vector to all subsets of a state, and
+    lexicographic order is invariant under translation, so keeping the least
+    is exact.  A state is dropped as soon as one of its sums stays below 1
+    even if every later summand with a positive entry there is taken in
+    full; that headroom is the most the rest can add, so no violating subset
+    is ever dropped.  After the last summand the headroom is zero, so every
+    surviving state is violated.
     """
-    projected: dict[tuple[int, ...], int] = {}
-    for deg, mult in middle.summands:
-        p = _constrained_sums(x, deg, constraint)
-        projected[p] = projected.get(p, 0) + mult
-    items = sorted(projected.items())
-    width = len(items[0][0])
+    # the factor indices of each sum the twist family bounds
+    if constraint is TwistMode.TOTAL_NEGATIVE:
+        bounded = (range(x.picard_rank),)
+    else:
+        bounded = tuple(idx for _, idx in x.groups)
+    steps = [
+        (deg, mult, tuple(sum([deg[i] for i in idx]) for idx in bounded))
+        for deg, mult in middle.summands
+    ]
+    width = len(bounded)
     # headroom[i]: the largest amount summands i.. can add to each sum
     headroom = [(0,) * width]
-    for p, mult in reversed(items):
+    for _, mult, p in reversed(steps):
         headroom.append(tuple(h + mult * max(v, 0) for h, v in zip(headroom[-1], p)))
     headroom.reverse()
-    states = {(0, (0,) * width)}
-    for (p, mult), room in zip(items, headroom[1:]):
-        nxt = set()
-        for c, sums in states:
+    states = {(0, (0,) * width): (0,) * x.picard_rank}
+    for (deg, mult, p), room in zip(steps, headroom[1:]):
+        nxt: dict[tuple[int, tuple[int, ...]], MultiDegree] = {}
+        for (c, sums), t_s in states.items():
             for e in range(0, min(mult, q_max - c) + 1):
-                moved = tuple(s + e * v for s, v in zip(sums, p))
-                if all(s + r >= 1 for s, r in zip(moved, room)):
-                    nxt.add((c + e, moved))
+                if e:
+                    sums = tuple(s + v for s, v in zip(sums, p))
+                if all(s + r >= 1 for s, r in zip(sums, room)):
+                    key = (c + e, sums)
+                    full = tuple(t + e * d for t, d in zip(t_s, deg))
+                    least = nxt.get(key)
+                    if least is None or full < least:
+                        nxt[key] = full
         states = nxt
-    return {c for c, _ in states}
-
-
-def _q_result(
-    x: ProductSpace,
-    middle: LineBundleSum,
-    q: int,
-    constraint: TwistMode,
-    failing: set[int],
-) -> QResult:
-    if q not in failing:
-        return QResult(q, True, None, None)
-    # exterior_power lists the subset sums t_S in sorted order, so the first
-    # violated one is the lexicographically first witness
-    t_s = next(
-        t for t, _ in exterior_power(middle, q).summands
-        if _profile_violated(x, t, constraint)
+        if not states:
+            break
+    witness: dict[int, MultiDegree] = {}
+    for (c, _), t_s in states.items():
+        if c not in witness or t_s < witness[c]:
+            witness[c] = t_s
+    return tuple(
+        QResult(q, False, vneg(witness[q]), witness[q]) if q in witness
+        else QResult(q, True, None, None)
+        for q in range(1, q_max + 1)
     )
-    return QResult(q, False, vneg(t_s), t_s)
 
 
 def vanishing_all_twists(
@@ -142,18 +130,16 @@ def vanishing_all_twists(
     some q-subset has every constrained sum of t_S (the total, or one per
     group) >= 1.
 
-    That is decided without listing the subset sums: each summand degree is
-    projected onto its constrained sums and one DP over (count, projected
-    sums) runs, dropping a state once some sum cannot reach 1 even if every
-    remaining positive contribution is taken in full.  On failure the
-    witness is the first violated t_S among exterior_power(middle, q)'s
-    sorted summands, returned with the twist B = -t_S.
+    That is decided without listing the subset sums, by the DP of _per_q
+    run up to q.  On failure the witness is the lexicographically least
+    violated t_S, the least full sum kept by a surviving state at count q,
+    returned with the twist B = -t_S.
     """
     if not 1 <= q <= middle.rank - 1:
         raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
     for deg, _ in middle.summands:
         x.check_degree(deg)
-    return _q_result(x, middle, q, constraint, _failing_counts(x, middle, q, constraint))
+    return _per_q(x, middle, q, constraint)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +215,9 @@ def stability_certificate(
     )
     if deg_t >= 0:
         return StabilityCertificate(per_q=(), verdict="unsupported", **base)
-    # one DP decides every q; only failing q pay for a witness
-    failing = _failing_counts(x, spec.term_m, rank_t - 1, constraint)
-    per_q = tuple(
-        _q_result(x, spec.term_m, q, constraint, failing) for q in range(1, rank_t)
-    )
-    return StabilityCertificate(
-        per_q=per_q, verdict="fails" if failing else "stable", **base
-    )
+    per_q = _per_q(x, spec.term_m, rank_t - 1, constraint)
+    verdict = "stable" if all(r.passed for r in per_q) else "fails"
+    return StabilityCertificate(per_q=per_q, verdict=verdict, **base)
 
 
 # ---------------------------------------------------------------------------

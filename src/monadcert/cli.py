@@ -361,22 +361,15 @@ def _custom_block_from_spec(spec: MonadSpec, embed_maps: bool) -> dict:
     block = {
         "family": "custom",
         "name": dict(spec.params)["name"],
-        "factors": list(spec.space.factors),
-        "groups": [[name, list(idxs)] for name, idxs in spec.space.groups],
-        "terms": {
-            "a": to_jsonable(spec.term_a),
-            "m": to_jsonable(spec.term_m),
-            "c": to_jsonable(spec.term_c),
-        },
-        "letters": list(spec.ring.letters),
-        "polarization": list(spec.default_polarization),
+        "factors": spec.space.factors,
+        "groups": spec.space.groups,
+        "terms": {"a": spec.term_a, "m": spec.term_m, "c": spec.term_c},
+        "letters": spec.ring.letters,
+        "polarization": spec.default_polarization,
         "constraint": spec.default_constraint,
     }
     if embed_maps:
-        block["maps"] = {
-            "f": to_jsonable(spec.map_f),
-            "g": to_jsonable(spec.map_g),
-        }
+        block["maps"] = {"f": spec.map_f, "g": spec.map_g}
     return block
 
 

@@ -3,7 +3,8 @@
 Each oracle computes by enumeration or by a different route from the code it
 checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
-truncated polynomial ring, ranks come from Gauss-Jordan on matrices
+truncated polynomial ring, the first violated subset sum is found in the
+listed exterior power, ranks come from Gauss-Jordan on matrices
 evaluated entry by entry, common zeros are sought at every point over F_2,
 triangular witnesses are searched for over the whole matrix, degree
 mismatches are found entry by entry, and a document's text is written by
@@ -39,7 +40,7 @@ from .polyring import (
     common_zero,
     rank_at_random_points,
 )
-from .space import MultiDegree, ProductSpace
+from .space import MultiDegree, ProductSpace, dimension_blocks
 
 
 def count_monomials(nvars: int, d: int) -> int:
@@ -135,6 +136,25 @@ def vanishing_by_enumeration(
             if all(bb + tt >= 0 for bb, tt in zip(b, t_s)):
                 return False, b
     return True, None
+
+
+def first_violated(
+    x: ProductSpace, middle: LineBundleSum, q: int, constraint: TwistMode
+) -> MultiDegree | None:
+    """The lexicographically first violated subset sum t_S of q-subsets of middle, or None.
+
+    Scans the summands of exterior_power(middle, q), which come sorted, for
+    the first t_S with every constrained sum (the total, or one per group)
+    >= 1.  The reference for the witnesses of the certificates' DP.
+    """
+    for t_s, _ in exterior_power(middle, q).summands:
+        if constraint is TwistMode.TOTAL_NEGATIVE:
+            sums = [sum(t_s)]
+        else:
+            sums = [s for _, s in x.group_sums(t_s)]
+        if min(sums) >= 1:
+            return t_s
+    return None
 
 
 def rank_by_gauss_jordan(rows: list[list[int]], p: int) -> int:
@@ -376,28 +396,33 @@ def check_exterior_rank(seed: int, draws: int, deg_max: int) -> None:
 
 
 def check_vanishing(seed: int, draws: int) -> None:
-    """The vanishing DP against box enumeration, and every failing witness sound.
+    """The vanishing DP against box enumeration for every q and both modes,
+    and every failing witness the first violated subset sum and sound, on
+    spaces with one group per factor or grouped by dimension.
 
-    Summand degrees stay in {-1, 0, 1} so that the default box holds every
-    candidate twist and the enumeration is exhaustive.
+    Summand degrees stay in {-1, 0, 1} and q <= 5 so that the default box
+    holds every candidate twist and the enumeration is exhaustive.
     """
     rng = random.Random(seed)
     for _ in range(draws):
         l = rng.randint(1, 3)
-        space = ProductSpace(tuple(rng.randint(1, 3) for _ in range(l)))
+        factors = tuple(rng.randint(1, 3) for _ in range(l))
+        space = ProductSpace(factors, dimension_blocks(factors) if rng.random() < 0.5 else None)
         summands = [
             (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, 2))
-            for _ in range(rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
         ]
         middle = LineBundleSum(summands)
-        if middle.rank < 2:
-            continue
-        q = rng.randint(1, middle.rank - 1)
-        mode = rng.choice((TwistMode.PER_GROUP_NEGATIVE, TwistMode.TOTAL_NEGATIVE))
-        fast = vanishing_all_twists(space, middle, q, mode)
-        slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
-        assert fast.passed == slow_pass, f"disagreement at {summands} q={q} {mode}"
-        if not fast.passed:
+        for q, mode in itertools.product(range(1, min(middle.rank, 6)), TwistMode):
+            fast = vanishing_all_twists(space, middle, q, mode)
+            slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
+            where = f"{space.groups} {summands} q={q} {mode}"
+            assert fast.passed == slow_pass, f"disagreement at {where}"
+            assert fast.witness_profile == first_violated(space, middle, q, mode), (
+                f"witness {fast.witness_profile} is not the first violated sum at {where}"
+            )
+            if fast.passed:
+                continue
             # the witness twist lies in the family and gives a global section
             b = fast.witness_twist
             if mode is TwistMode.TOTAL_NEGATIVE:
@@ -405,9 +430,7 @@ def check_vanishing(seed: int, draws: int) -> None:
             else:
                 in_family = all(s < 0 for _, s in space.group_sums(b))
             lam = exterior_power(middle, q).twist(b)
-            assert in_family and h_sum(space, lam, 0) >= 1, (
-                f"unsound witness {b} at {summands} q={q} {mode}"
-            )
+            assert in_family and h_sum(space, lam, 0) >= 1, f"unsound witness {b} at {where}"
 
 
 def check_nu(limit: int) -> None:

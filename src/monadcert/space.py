@@ -61,6 +61,9 @@ class ProductSpace:
             for name, idx in groups:
                 if not name:
                     raise ValueError("group names must be nonempty")
+                if not idx:
+                    # its sum is always 0, so no twist has every group sum < 0
+                    raise ValueError(f"group {name!r} has no factor indices")
                 seen.extend(idx)
             if sorted(seen) != list(range(len(factors))):
                 raise ValueError(
@@ -157,11 +160,11 @@ def normalize(
     d = degree(X, L, e1)
     if d <= 0:
         raise ValueError(f"degree of {e1} under {L} is {d}, expected positive")
-    mu = slope(degree(X, L, c1), rank)
-    k_e = math.ceil(mu / d)
+    deg_c1 = degree(X, L, c1)
+    k_e = math.ceil(slope(deg_c1, rank) / d)
     normalized = vsub(c1, vscale(rank * k_e, e1))
-    # window check is cheap and guards the ceiling convention
-    nd = degree(X, L, normalized)
+    # degree is linear in c1; the window check guards the ceiling convention
+    nd = deg_c1 - rank * k_e * d
     if not (1 - d * rank <= nd <= 0):
         raise AssertionError(f"normalized degree {nd} outside window, k_E={k_e}")
     return k_e, normalized

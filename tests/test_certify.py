@@ -22,8 +22,8 @@ from monadcert.certify import (
 )
 from monadcert.cohomology import LineBundleSum, exterior_power, h_sum
 from monadcert.monad import build_section3, build_section4, custom_monad
-from monadcert.oracles import vanishing_by_enumeration
-from monadcert.space import ProductSpace
+from monadcert.oracles import first_violated, vanishing_by_enumeration
+from monadcert.space import ProductSpace, vneg
 
 
 def counterexample_spec():
@@ -124,18 +124,6 @@ def random_groups(rng, l):
     )
 
 
-def first_violated(x, middle, q, mode):
-    # the sorted subset sums t_S, first one with every constrained sum >= 1
-    for t_s, _ in exterior_power(middle, q).summands:
-        if mode is TwistMode.TOTAL_NEGATIVE:
-            sums = [sum(t_s)]
-        else:
-            sums = [s for _, s in x.group_sums(t_s)]
-        if min(sums) >= 1:
-            return t_s
-    return None
-
-
 def test_vanishing_matches_enumeration():
     rng = random.Random(424)
     grouped = 0
@@ -169,7 +157,7 @@ def test_vanishing_matches_enumeration():
 
 
 def test_stability_certificate_matches_per_q_decision():
-    # the all-q DP of the certificate against one vanishing_all_twists per q
+    # the all-q DP of the certificate against the exterior-power scan, per q
     rng = random.Random(515)
     verdicts = []
     for _ in range(60):
@@ -195,12 +183,13 @@ def test_stability_certificate_matches_per_q_decision():
             verdicts.append(cert.verdict)
             if cert.verdict == "unsupported":
                 continue
-            per_q = tuple(
-                vanishing_all_twists(x, spec.term_m, q, mode)
-                for q in range(1, cert.rank_t)
-            )
-            assert cert.per_q == per_q
-            assert cert.verdict == ("stable" if all(r.passed for r in per_q) else "fails")
+            assert [r.q for r in cert.per_q] == list(range(1, cert.rank_t))
+            for r in cert.per_q:
+                t_s = first_violated(x, spec.term_m, r.q, mode)
+                assert r.passed == (t_s is None)
+                assert r.witness_profile == t_s
+                assert r.witness_twist == (None if t_s is None else vneg(t_s))
+            assert cert.verdict == ("stable" if all(r.passed for r in cert.per_q) else "fails")
     assert verdicts.count("stable") >= 10 and verdicts.count("fails") >= 10
 
 

@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadcert import cli, monad
+from monadcert.certify import TwistMode
 from monadcert.cli import main
+from monadcert.cohomology import LineBundleSum
+from monadcert.oracles import first_violated
 from monadcert.space import ProductSpace
 
 
@@ -77,6 +82,39 @@ def test_certify_stability_counterexample(tmp_path):
     assert doc["result"]["verdict"] == "fails"
     failed = [q for q in doc["result"]["per_q"] if not q["passed"]]
     assert failed[0]["witness_twist"] == [-1, -1]
+
+
+def test_certify_stability_witnesses_every_q_of_a_wide_middle(tmp_path, capsys):
+    # every degree of {-1, 0, 1}^3 twice on (P^1)^3: all 52 exterior powers
+    # fail, and listing each of them to pick its witness took over a minute
+    m = [[list(d), 2] for d in itertools.product((-1, 0, 1), repeat=3)]
+    spec = {"name": "cube", "factors": [1, 1, 1],
+            "terms": {"a": [], "m": m, "c": [[[3, 3, 3], 1]]},
+            "constraint": "total-negative"}
+    spec_file = tmp_path / "cube.json"
+    spec_file.write_text(json.dumps(spec))
+    t0 = time.monotonic()
+    code = run("certify-stability", "--family", "custom",
+               "--spec-file", str(spec_file), "--out-dir", str(tmp_path))
+    elapsed = time.monotonic() - t0
+    assert code == 1
+    path = tmp_path / "custom-cube.stability.json"
+    result = json.loads(path.read_text())["result"]
+    assert result["verdict"] == "fails"
+    assert [r["q"] for r in result["per_q"]] == list(range(1, 53))
+    x = ProductSpace((1, 1, 1))
+    middle = LineBundleSum((tuple(d), mult) for d, mult in m)
+    for r in result["per_q"]:
+        assert not r["passed"]
+        profile = r["witness_profile"]
+        assert sum(profile) >= 1
+        assert r["witness_twist"] == [-t for t in profile]
+        if r["q"] <= 4:
+            assert tuple(profile) == first_violated(x, middle, r["q"], TwistMode.TOTAL_NEGATIVE)
+    capsys.readouterr()
+    assert run("recheck", str(path)) == 0
+    assert capsys.readouterr().out == f"{path}: OK\n"
+    assert elapsed < 5.0, f"certify-stability took {elapsed:.1f}s"
 
 
 def test_certify_simplicity_writes_both_documents(tmp_path):
@@ -413,6 +451,9 @@ def test_spec_file_with_malformed_groups_or_letters(tmp_path, capsys):
     cases = (
         ("groups", 5, "'groups' must be a list of [name, [factor indices]] pairs"),
         ("groups", [["a"]], "'groups' must be a list of [name, [factor indices]] pairs"),
+        # an empty group's sum is always 0: the per-group family would be
+        # empty and this failing kernel a vacuous "stable"
+        ("groups", [["g", [0, 1]], ["h", []]], "group 'h' has no factor indices"),
         ("letters", 5, "'letters' must be a list of strings"),
     )
     for i, (key, value, message) in enumerate(cases):

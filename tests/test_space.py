@@ -84,6 +84,9 @@ def test_custom_groups():
         ProductSpace((1, 1), groups=(("a", (0, 0, 1)),))
     with pytest.raises(ValueError):
         ProductSpace((1, 1), groups=(("", (0, 1)),))
+    # an empty group's sum is always 0, which would leave no twist in the family
+    with pytest.raises(ValueError, match="group 'h' has no factor indices"):
+        ProductSpace((1, 1), groups=(("g", (0, 1)), ("h", ())))
 
 
 def test_dimension_blocks():
@@ -161,6 +164,18 @@ def test_normalize_frozen():
     assert normalize(x, (1, 1), (3, 0), 1) == (3, (0, 0))
     assert normalize(x, (1, 1), (-1, -1), 7) == (0, (-1, -1))
     assert normalize(ProductSpace((1, 1)), (1, 1), (-4, -4), 3) == (-2, (2, -4))
+    # both ends of the window 1 - d*rank <= deg <= 0, reached from inside and
+    # from just outside; d = 1 under (1, 1) and d = 3 under (2, 3)
+    x = ProductSpace((1, 1))
+    assert normalize(x, (1, 1), (0, 0), 3) == (0, (0, 0))
+    assert normalize(x, (1, 1), (-2, 0), 3) == (0, (-2, 0))
+    assert normalize(x, (1, 1), (1, 0), 3) == (1, (-2, 0))
+    assert normalize(x, (1, 1), (-3, 0), 3) == (-1, (0, 0))
+    assert normalize(x, (2, 3), (0, 0), 2) == (0, (0, 0))
+    assert normalize(x, (2, 3), (-1, -1), 2) == (0, (-1, -1))
+    assert normalize(x, (2, 3), (0, 1), 2) == (1, (-2, 1))
+    assert degree(x, (2, 3), (-1, -1)) == 1 - 3 * 2
+    assert degree(x, (2, 3), (-2, 1)) == -4
 
 
 def test_normalize_window_unique():
