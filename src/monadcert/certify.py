@@ -30,7 +30,7 @@ from .space import (
     ProductSpace,
     check_polarization,
     degree,
-    normalize,
+    normalizing_twist,
     slope,
     vneg,
 )
@@ -200,7 +200,7 @@ def stability_certificate(
         raise ValueError("kernel rank must be >= 1")
     deg_t = degree(x, polarization, c1_t)
     slope_t = slope(deg_t, rank_t)
-    k_e, _ = normalize(x, polarization, c1_t, rank_t)
+    k_e = normalizing_twist(x, polarization, deg_t, rank_t)
     base = dict(
         instance_id=spec.instance_id,
         polarization=polarization,

@@ -440,6 +440,8 @@ def _instance_from_args(args) -> tuple[dict, MonadSpec]:
             raise SpecError(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise SpecError(f"{path}: JSON nested too deeply") from exc
         if not isinstance(block, dict):
             raise SpecError(f"{path}: top level must be an object")
         block.setdefault("family", "custom")
@@ -669,6 +671,8 @@ def cmd_recheck(args) -> int:
             raise SpecError(f"{path}: {exc}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SpecError(f"{path}: {exc}") from exc
+        except RecursionError as exc:
+            raise SpecError(f"{path}: JSON nested too deeply") from exc
         if not isinstance(doc, dict):
             raise SpecError(f"{path}: top level must be an object")
         regenerated = _regenerate(doc, build)

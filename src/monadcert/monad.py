@@ -270,10 +270,6 @@ def _staircases(
     columns 0..k-1; below the diagonal sit the block's entries s-k+1..s-1
     and zeros, so those names are the guards.
     """
-    def staircase(names: tuple[str, ...], s: int, rows: tuple, cols: tuple) -> TriangularWitness:
-        guards = names[max(0, s - k + 1) : s]
-        return TriangularWitness(names[s], rows, cols, not guards, guards)
-
     witnesses = []
     diagonal = tuple(range(k))
     off = 0
@@ -281,8 +277,12 @@ def _staircases(
         t = len(e_names) - 1
         window = tuple(range(off, off + t + k))  # the block's middle summands
         for s in range(t + 1):
-            witnesses.append(("g", staircase(e_names, s, diagonal, window[s : s + k])))
-            witnesses.append(("f", staircase(h_names, s, window[t - s : t - s + k], diagonal)))
+            low = s - k + 1 if s >= k else 0
+            g_cols, f_rows = window[s : s + k], window[t - s : t - s + k]
+            witnesses += (
+                ("g", TriangularWitness(e_names[s], diagonal, g_cols, low == s, e_names[low:s])),
+                ("f", TriangularWitness(h_names[s], f_rows, diagonal, low == s, h_names[low:s])),
+            )
         off += t + k
     return tuple(witnesses)
 
@@ -322,11 +322,13 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
 
     @functools.cache
     def symbols() -> tuple[WitnessSymbol, ...]:
-        # mixed-radix order: the first factor most significant, the last fastest
-        coords = itertools.product(*(range(n + 1) for n in factors))
+        # mixed-radix order: the first factor most significant, the last
+        # fastest; a Segre monomial is one unit exponent block per factor,
+        # each laid at the factor's offset, which is the end of the one before
+        units = [[(0,) * j + (1,) + (0,) * (n - j) for j in range(n + 1)] for n in factors]
         return tuple(
-            WitnessSymbol(name=name, monomial=ring.unit_monomial(enumerate(c)))
-            for name, c in zip(x_names + y_names, coords)
+            WitnessSymbol(name=name, monomial=tuple(itertools.chain.from_iterable(blocks)))
+            for name, blocks in zip(x_names + y_names, itertools.product(*units))
         )
 
     def maps() -> Maps:

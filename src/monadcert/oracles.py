@@ -5,10 +5,12 @@ checks, and shares no code with it: monomials are counted one by one, copy
 vectors and twists are listed exhaustively, intersection numbers expand the
 truncated polynomial ring, the first violated subset sum is found in the
 listed exterior power, ranks come from Gauss-Jordan on matrices
-evaluated entry by entry, common zeros are sought at every point over F_2,
-triangular witnesses are searched for over the whole matrix, degree
-mismatches are found entry by entry, and a document's text is written by
-the json module's encoder.
+evaluated entry by entry, common zeros are sought at every point over F_2
+and by the search without its covering prune, triangular witnesses are
+searched for over the whole matrix and checked entry by entry as pure
+powers, products of matrices add exponent tuples, degree mismatches are
+found entry by entry, and a document's text is written by the json
+module's encoder.
 `selftest` runs SUITES; the tests call the same oracles and check functions
 with their own seeds and ranges.  A check function raises AssertionError on
 the first disagreement.
@@ -29,7 +31,9 @@ from .cli import to_jsonable
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import MonadSpec, build_section3, build_section4, nu, verify_monad
 from .polyring import (
+    COMMON_ZERO_STEPS,
     DEFAULT_PRIME,
+    CommonZeroUndecided,
     CoordinateRing,
     Monomial,
     MonadMatrix,
@@ -38,7 +42,9 @@ from .polyring import (
     TriangularWitness,
     WitnessSymbol,
     common_zero,
+    mat_mul,
     rank_at_random_points,
+    triangular_witness,
 )
 from .space import MultiDegree, ProductSpace, dimension_blocks
 
@@ -235,6 +241,119 @@ def has_common_zero_by_points(ring: CoordinateRing, monomials: Sequence[Monomial
         if all(math.prod(x**e for x, e in zip(flat, mono)) == 0 for mono in monomials):
             return True
     return False
+
+
+def common_zero_by_search(
+    ring: CoordinateRing, monomials: Sequence[Monomial]
+) -> tuple[int, ...] | None:
+    """`polyring.common_zero` without its covering prune, within the same budget.
+
+    Chooses one live coordinate per factor in turn, tries only the first
+    coordinate of a factor no remaining monomial constrains, and stops a
+    branch once some monomial needs nothing of the factors still to choose;
+    raises CommonZeroUndecided after COMMON_ZERO_STEPS monomial checks.
+    """
+    needs = []
+    for mono in monomials:
+        need: dict[int, int] = {}
+        for var, e in enumerate(mono):
+            if e and need.setdefault(ring.var_factor[var], var) != var:
+                break
+        else:
+            needs.append((max(need, default=-1), need))
+    steps = 0
+
+    def search(factor: int, live: tuple[int, ...], alive: list) -> tuple[int, ...] | None:
+        nonlocal steps
+        steps += 1 + len(alive)
+        if steps > COMMON_ZERO_STEPS:
+            raise CommonZeroUndecided(f"no decision within {COMMON_ZERO_STEPS} search steps")
+        if not alive:
+            return live + (0,) * (len(ring.factors) - factor)
+        if any(last < factor for last, _ in alive):
+            return None
+        constrained = any(factor in need for _, need in alive)
+        for j in range(ring.factors[factor] + 1 if constrained else 1):
+            var = ring.offsets[factor] + j
+            rest = [n for n in alive if n[1].get(factor, var) == var]
+            found = search(factor + 1, live + (j,), rest)
+            if found is not None:
+                return found
+        return None
+
+    return search(0, (), needs)
+
+
+def mat_mul_by_tuples(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
+    """The product of two matrices of forms, adding exponent tuples term by term.
+
+    Labels and shapes are taken as given.  The reference for polyring.mat_mul.
+    """
+    ring = m1.ring
+    out = []
+    for row in m1.entries:
+        out_row = []
+        for c in range(m2.ncols):
+            terms: dict[Monomial, int] = {}
+            for a, b_row in zip(row, m2.entries):
+                for mono_a, c1 in a.terms.items():
+                    for mono_b, c2 in b_row[c].terms.items():
+                        mono = tuple(x + y for x, y in zip(mono_a, mono_b))
+                        terms[mono] = terms.get(mono, 0) + c1 * c2
+            out_row.append(SparsePoly(ring, terms))
+        out.append(out_row)
+    return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
+
+
+def _is_power(poly: SparsePoly, base: Monomial) -> bool:
+    """Whether `poly` is c * base^e for some integer c != 0 and e >= 1."""
+    if len(poly.terms) != 1:
+        return False
+    (mono,) = poly.terms
+    if mono == base:
+        return any(base)
+    e = next((x // b for x, b in zip(mono, base) if b), 0)
+    return e >= 2 and mono == tuple(e * b for b in base)
+
+
+def witness_check_by_powers(
+    m: MonadMatrix,
+    witness: TriangularWitness,
+    k: int,
+    symbol: WitnessSymbol,
+    earlier: dict[str, Monomial],
+) -> TriangularWitness | None:
+    """`polyring.triangular_witness`, deciding each entry with `_is_power`.
+
+    Every diagonal entry must be a pure power of the symbol, every entry
+    below it zero or a pure power of some listed guard, each guard one of
+    `earlier`, the rows and columns k distinct indices in range, and
+    `strict` exactly when no guard is listed.
+    """
+    if k < 1 or k > min(m.nrows, m.ncols):
+        raise ValueError(f"target rank {k} out of range for {m.nrows}x{m.ncols}")
+    rows, cols = witness.rows, witness.cols
+    guards = [earlier.get(name) for name in witness.guards]
+    if (
+        witness.symbol != symbol.name
+        or witness.strict != (not guards)
+        or None in guards
+        or not (
+            len(rows) == len(set(rows)) == k == len(cols) == len(set(cols))
+            and 0 <= min(rows) and max(rows) < m.nrows
+            and 0 <= min(cols) and max(cols) < m.ncols
+        )
+    ):
+        return None
+    base = symbol.monomial
+    for i, r in enumerate(rows):
+        row = m.entries[r]
+        if not _is_power(row[cols[i]], base):
+            return None
+        for c in cols[:i]:
+            if row[c].terms and not any(_is_power(row[c], g) for g in guards):
+                return None
+    return witness
 
 
 def pure_power_exponent(poly: SparsePoly, base: Monomial) -> int | None:
@@ -567,6 +686,190 @@ def check_degree_mismatches(seed: int, draws: int) -> None:
     assert mismatched, "no degree mismatch drawn"
 
 
+def check_mat_mul(seed: int, draws: int) -> None:
+    """mat_mul against mat_mul_by_tuples on random matrices of forms up to 4 x 4 x 4.
+
+    Coefficients are nonzero and may be negative, a fifth of the entries
+    are zero and the inner dimension may be 0.  Exponents lie in 0..3, in a
+    quarter of the draws in 100..300 (sums past 255 need a wider field),
+    and in a tenth from 2^63 on (sums fit no field) or in -2..2 (a negative
+    exponent packs into no field).  Half the draws repeat a column of the
+    left factor against a negated row of the right one, so terms cancel.
+    """
+    rng = random.Random(seed)
+    wide = unpacked = cancelled = 0
+    for _ in range(draws):
+        ring = CoordinateRing(tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3))))
+        roll = rng.random()
+        low, high = (0, 3) if roll < 0.65 else (100, 300) if roll < 0.9 else (
+            (2**63, 2**63 + 2) if roll < 0.95 else (-2, 2)
+        )
+        wide += 0.65 <= roll < 0.9
+        unpacked += roll >= 0.9
+
+        def poly():
+            if rng.random() < 0.2:
+                return ring.zero()
+            return SparsePoly(ring, {
+                tuple(rng.randint(low, high) for _ in range(ring.nvars)): rng.choice((-3, -1, 1, 2))
+                for _ in range(rng.randint(1, 3))
+            })
+
+        n, inner, c = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
+        a_rows = [[poly() for _ in range(inner)] for _ in range(n)]
+        b_rows = [[poly() for _ in range(c)] for _ in range(inner)]
+        if inner >= 2 and rng.random() < 0.5:
+            for row in a_rows:
+                row[1] = row[0]
+            b_rows[1] = [-x for x in b_rows[0]]
+        zero = (0,) * len(ring.factors)
+        a = MonadMatrix(ring, a_rows, [zero] * n, [zero] * inner)
+        b = MonadMatrix(ring, b_rows, [zero] * inner, [zero] * c)
+        got, want = mat_mul(a, b), mat_mul_by_tuples(a, b)
+        assert got.entries == want.entries, f"{a_rows} x {b_rows}: {got.entries} != {want.entries}"
+        assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+        cancelled += inner >= 2 and any(e.is_zero() for row in got.entries for e in row)
+    assert wide and unpacked and cancelled, "a kind of product was not drawn"
+
+
+def check_triangular_witness(seed: int, draws: int) -> None:
+    """triangular_witness against witness_check_by_powers on random witnesses.
+
+    Matrices up to 4 x 4 over P^1 x P^1 hold zeros, constants, multi-term
+    entries and pure powers of a random family, whose symbols include a
+    zero monomial and powers of one another.  Half the witnesses are
+    staircases laid into the matrix, with powers of their guards below the
+    diagonal; the rest pick rows and columns at random, some repeated or out
+    of range.  Guards are drawn from the earlier symbols, later ones and
+    unknown names, `strict` is sometimes wrong, and k is sometimes out of
+    range, when both must raise the same error.  Last, a repeated row and a
+    repeated column are tried on a matrix where they meet every other
+    condition.
+    """
+    rng = random.Random(seed)
+    ring = CoordinateRing((1, 1))
+    units = [ring.unit_monomial([pick]) for pick in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    pool = units + [(0,) * ring.nvars, (2, 0, 0, 0), (1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1)]
+    power = lambda mono, e: tuple(e * x for x in mono)
+    accepted = refused = raised = 0
+    for _ in range(draws):
+        monos = rng.sample(pool, rng.randint(1, 5))
+        family = tuple(WitnessSymbol(f"s{i}", mono) for i, mono in enumerate(monos))
+        t = rng.randrange(len(family))
+        symbol, earlier = family[t], {s.name: s.monomial for s in family[:t]}
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+
+        def entry(mono=None):
+            coeff = rng.choice((-2, -1, 1, 3))
+            roll = rng.random()
+            if mono is not None:
+                return SparsePoly(ring, {power(mono, rng.randint(1, 3)): coeff})
+            if roll < 0.3:
+                return ring.zero()
+            if roll < 0.4:
+                return coeff * ring.one()
+            if roll < 0.5:
+                return SparsePoly(ring, {rng.choice(pool): coeff, rng.choice(pool): 1})
+            return entry(rng.choice(pool))
+
+        entries = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        k = rng.randint(1, min(nrows, ncols))
+        guards = tuple(rng.sample(list(earlier), rng.randint(0, len(earlier))))
+        if rng.random() < 0.5:
+            rows, cols = rng.sample(range(nrows), k), rng.sample(range(ncols), k)
+            for i, r in enumerate(rows):
+                entries[r][cols[i]] = entry(symbol.monomial)
+                for c in cols[:i]:
+                    guard = rng.choice(guards) if guards and rng.random() < 0.7 else None
+                    entries[r][c] = ring.zero() if guard is None else entry(earlier[guard])
+        else:
+            rows = [rng.randint(-1, nrows) for _ in range(k)]
+            cols = [rng.randint(-1, ncols) for _ in range(k)]
+        if rng.random() < 0.2:
+            guards += (rng.choice([s.name for s in family[t:]] + ["unknown"]),)
+        strict = (not guards) != (rng.random() < 0.1)
+        name = symbol.name if rng.random() < 0.95 else "other"
+        w = TriangularWitness(name, tuple(rows), tuple(cols), strict, guards)
+        m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
+        if rng.random() < 0.1:
+            k = rng.choice((0, min(nrows, ncols) + 1))
+        outcomes = []
+        for check in (triangular_witness, witness_check_by_powers):
+            try:
+                outcomes.append(check(m, w, k, symbol, earlier))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], f"{entries} {w} k={k}: {outcomes}"
+        accepted += outcomes[0] is w
+        refused += outcomes[0] is None
+        raised += isinstance(outcomes[0], str)
+    assert accepted and refused and raised, (accepted, refused, raised)
+    # a repeated row or column meets every other condition when each cell is
+    # a power of the symbol and the symbol a power of its guard
+    guard, symbol = units[0], WitnessSymbol("s", power(units[0], 2))
+    m = MonadMatrix(ring, [[entry(symbol.monomial) for _ in range(3)] for _ in range(3)],
+                    [(0, 0)] * 3, [(0, 0)] * 3)
+    for rows, cols in (((0, 1, 2), (2, 0, 1)), ((0, 1, 0), (0, 1, 2)), ((2, 0, 1), (1, 1, 0))):
+        w = TriangularWitness("s", rows, cols, False, ("g",))
+        want = w if len(set(rows)) == len(set(cols)) == 3 else None
+        for check in (triangular_witness, witness_check_by_powers):
+            assert check(m, w, 3, symbol, {"g": guard}) is want, (check.__name__, w)
+
+
+def check_common_zero_prune(seed: int, draws: int) -> None:
+    """common_zero against common_zero_by_search on full-support families less one pin tuple.
+
+    A family has a monomial for every choice of one coordinate in each
+    factor, some raised to a power, less one choice: that choice is then
+    its only common zero.  Half the families also get one to three
+    monomials that use fewer factors, which may rule the zero out.  Both
+    searches must find the same zero, or none, within the same budget.
+    """
+    rng = random.Random(seed)
+    zeros = 0
+    for _ in range(draws):
+        ring = CoordinateRing(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        family = []
+        for choice in itertools.product(*(range(n + 1) for n in ring.factors)):
+            exps = [0] * ring.nvars
+            for off, j in zip(ring.offsets, choice):
+                exps[off + j] = rng.choice((1, 1, 1, 2))
+            family.append(tuple(exps))
+        del family[rng.randrange(len(family))]
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            exps = [0] * ring.nvars
+            for off, n in zip(ring.offsets, ring.factors):
+                if rng.random() < 0.5:
+                    exps[off + rng.randint(0, n)] = 1
+            family.append(tuple(exps))
+        rng.shuffle(family)
+        got, want = common_zero(ring, family), common_zero_by_search(ring, family)
+        assert got == want, f"{ring.factors} {family}: {got} != {want}"
+        zeros += got is not None
+    assert zeros, "no family with a common zero drawn"
+
+
+def check_shared_points(seeds: Sequence[int], trials: int) -> None:
+    """Both maps of small built monads against rank_evidence_by_entries, seed by seed.
+
+    The rank evidence of f and of g must be drawn at the same points, and
+    each must equal the reference's, points and ranks included.
+    """
+    specs = (
+        build_section3(ProductSpace((1, 1)), 2),
+        build_section3(ProductSpace((1, 3)), 1),
+        build_section4(1, 1, 1, 1, 2, 1, 1),
+    )
+    for seed in seeds:
+        for spec in specs:
+            f = rank_at_random_points(spec.map_f, DEFAULT_PRIME, trials, seed)
+            g = rank_at_random_points(spec.map_g, DEFAULT_PRIME, trials, seed)
+            assert f.points == g.points, f"{spec.instance_id} seed {seed}: f and g points differ"
+            for m, got in ((spec.map_f, f), (spec.map_g, g)):
+                want = rank_evidence_by_entries(m, DEFAULT_PRIME, trials, seed)
+                assert got == want, f"{spec.instance_id} seed {seed}: {got.ranks} != {want.ranks}"
+
+
 def check_built_witnesses(spec: MonadSpec) -> None:
     """Each witness a builder lays out is the one the reference scan finds.
 
@@ -610,4 +913,8 @@ SUITES = (
     ("monad-validity", check_monads),
     ("rank-evidence-vs-entries", partial(check_rank_evidence, seed=67867967, draws=40, trials=2)),
     ("degree-mismatches-vs-entries", partial(check_degree_mismatches, seed=15485867, draws=200)),
+    ("mat-mul-vs-tuples", partial(check_mat_mul, seed=32452867, draws=100)),
+    ("witness-check-vs-powers", partial(check_triangular_witness, seed=49979693, draws=400)),
+    ("common-zero-prune-vs-search", partial(check_common_zero_prune, seed=67867979, draws=60)),
+    ("rank-points-shared", partial(check_shared_points, seeds=(0, 86028157), trials=3)),
 )

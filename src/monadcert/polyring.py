@@ -12,9 +12,11 @@ long side, evaluated vector by vector, until it reaches the short side.
 from __future__ import annotations
 
 import functools
+import math
 import random
+import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, zip_longest
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -144,9 +146,9 @@ class CoordinateRing:
 
 def _eval_monomial(mono: Monomial, point: Sequence[int], p: int) -> int:
     v = 1
-    for i, e in enumerate(mono):
+    for x, e in zip(point, mono):
         if e:
-            v = v * pow(point[i], e, p) % p
+            v = v * (x if e == 1 else pow(x, e, p)) % p
     return v
 
 
@@ -315,12 +317,19 @@ class MonadMatrix:
         Each is reported with the multidegree of its first such monomial, so
         an inhomogeneous entry is reported whatever the order of its terms.
         Labels are a few shared values, so each distinct row - col
-        difference is taken once, and so is each distinct monomial's
-        multidegree, as sums over the factors' slices of its exponents.
+        difference is taken once.  The multidegrees of all distinct
+        monomials are taken at once: the exponent columns of each factor's
+        variables are added elementwise.
         """
         ring = self.ring
-        slices = [slice(off, off + n + 1) for off, n in zip(ring.offsets, ring.factors)]
-        degree_of: dict[Monomial, MultiDegree] = {}
+        monos = list({mono for row in self.entries for e in row for mono in e.terms})
+        columns = list(zip_longest(*monos, fillvalue=0))  # one exponent column per variable
+        zero = [0] * len(monos)
+        per_factor = [
+            functools.reduce(lambda x, y: list(map(add, x, y)), columns[off : off + n + 1], zero)
+            for off, n in zip(ring.offsets, ring.factors)
+        ]
+        degree_of = dict(zip(monos, zip(*per_factor)))
         distinct: dict[MultiDegree, int] = {}
         col_class = [distinct.setdefault(cl, len(distinct)) for cl in self.col_labels]
         differences: dict[MultiDegree, list[MultiDegree]] = {}
@@ -334,11 +343,8 @@ class MonadMatrix:
                     continue
                 expected = expected_at[col_class[c]]
                 for mono in e.terms:
-                    found = degree_of.get(mono)
-                    if found is None:
-                        found = degree_of[mono] = tuple(map(sum, map(mono.__getitem__, slices)))
-                    if found != expected:
-                        bad.append((r, c, found, expected))
+                    if degree_of[mono] != expected:
+                        bad.append((r, c, degree_of[mono], expected))
                         break
         return tuple(bad)
 
@@ -348,7 +354,14 @@ class MonadMatrix:
 
 
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
-    """Exact symbolic product; inner dimensions and inner labels must agree."""
+    """Exact symbolic product; inner dimensions and inner labels must agree.
+
+    Each distinct exponent tuple is packed once into an int, one unsigned
+    field per variable, wide enough for the largest exponent of m1 plus the
+    largest of m2: no field carries into the next, so a product of
+    monomials is an integer addition.  When no field is that wide, or an
+    exponent is negative, the exponent tuples are added as they are.
+    """
     if m1.ring != m2.ring:
         raise ValueError("matrices over different rings")
     if m1.ncols != m2.nrows:
@@ -356,17 +369,42 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     if m1.col_labels != m2.row_labels:
         raise ValueError("inner labels mismatch")
     ring = m1.ring
-    cols = [[row[c].terms for row in m2.entries] for c in range(m2.ncols)]
+    # each row of m2 as the (column, terms) of its nonzero entries
+    right = [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in m2.entries]
+    monos_1 = {mono for row in m1.entries for e in row for mono in e.terms}
+    monos_2 = {mono for row in right for _, terms in row for mono in terms}
+    top = max(map(max, monos_1), default=0) + max(map(max, monos_2), default=0)
+    field = next((t for t in "BHIQ" if top >> 8 * struct.calcsize("<" + t) == 0), None)
+    if field is not None:
+        layout = struct.Struct(f"<{ring.nvars}{field}")
+        try:
+            packed = {m: int.from_bytes(layout.pack(*m), "little") for m in monos_1 | monos_2}
+        except struct.error:  # a negative exponent, or a monomial not nvars long
+            field = None
     out = []
     for row in m1.entries:
-        out_row = []
-        for col in cols:
-            terms: dict[Monomial, int] = {}
-            for a, b in zip(row, col):
-                if a.terms and b:
-                    _add_products(terms, a.terms, b)
-            out_row.append(SparsePoly(ring, terms))
-        out.append(out_row)
+        cells: list[dict] = [{} for _ in range(m2.ncols)]
+        for entry, b_row in zip(row, right):
+            a = entry.terms
+            if not a:
+                continue
+            if field is None:
+                for c, b in b_row:
+                    _add_products(cells[c], a, b)
+                continue
+            for mono_a, c1 in a.items():
+                k1 = packed[mono_a]
+                for c, b in b_row:
+                    terms = cells[c]
+                    for mono_b, c2 in b.items():
+                        k = k1 + packed[mono_b]
+                        terms[k] = terms.get(k, 0) + c1 * c2
+        if field is not None:
+            cells = [
+                {layout.unpack(k.to_bytes(layout.size, "little")): c for k, c in terms.items() if c}
+                for terms in cells
+            ]
+        out.append([SparsePoly(ring, terms) for terms in cells])
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
 
 
@@ -382,20 +420,19 @@ def _long_side_at(m: MonadMatrix, point: Sequence[int], p: int) -> Iterator[list
     once per point.
     """
     memo: dict[Monomial, int] = {}
-
-    def value(poly: SparsePoly) -> int:
-        total = 0
-        for mono, coeff in poly.terms.items():
-            v = memo.get(mono)
-            if v is None:
-                v = memo[mono] = _eval_monomial(mono, point, p)
-            total += coeff * v
-        return total % p
-
     rows = m.entries
     lines = rows if m.nrows > m.ncols else ([row[c] for row in rows] for c in range(m.ncols))
     for line in lines:
-        yield [value(e) if e.terms else 0 for e in line]
+        vector = []
+        for entry in line:
+            total = 0
+            for mono, coeff in entry.terms.items():
+                v = memo.get(mono)
+                if v is None:
+                    v = memo[mono] = _eval_monomial(mono, point, p)
+                total += coeff * v
+            vector.append(total % p)
+        yield vector
 
 
 def _rank_of_stream(vectors: Iterable[list[int]], limit: int, p: int) -> int:
@@ -452,6 +489,30 @@ def check_rank_parameters(prime: int, trials: int) -> None:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
 
 
+@functools.lru_cache(maxsize=2)
+def _sample_points(
+    factors: tuple[int, ...], prime: int, trials: int, seed: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """`trials` points drawn from Random(seed), one coordinate tuple per factor.
+
+    Cached, since both maps of a monad are checked at the same points.
+    """
+    rng = random.Random(seed)
+    points = []
+    for _ in range(trials):
+        factor_tuples = []
+        for n in factors:
+            for _attempt in range(64):
+                tup = tuple(rng.randrange(prime) for _ in range(n + 1))
+                if any(tup):
+                    break
+            else:
+                raise RuntimeError("degenerate point generation")
+            factor_tuples.append(tup)
+        points.append(tuple(factor_tuples))
+    return tuple(points)
+
+
 def rank_at_random_points(
     m: MonadMatrix,
     prime: int = DEFAULT_PRIME,
@@ -464,33 +525,23 @@ def rank_at_random_points(
     rejected, so every sample is a genuine point of the product space.
     At each point the long side is ranked as a stream that stops once the
     rank reaches the short side; the rank does not depend on the order the
-    vectors are taken in.  Deterministic for a fixed seed.
+    vectors are taken in.  The points depend only on the factors, prime,
+    trials and seed, so both maps of a monad are ranked at the same ones.
     """
     check_rank_parameters(prime, trials)
     limit = min(m.nrows, m.ncols)
-    rng = random.Random(seed)
-    ranks = []
-    points = []
-    for _ in range(trials):
-        factor_tuples = []
-        for n in m.ring.factors:
-            for _attempt in range(64):
-                tup = tuple(rng.randrange(prime) for _ in range(n + 1))
-                if any(tup):
-                    break
-            else:
-                raise RuntimeError("degenerate point generation")
-            factor_tuples.append(tup)
-        flat = [x for tup in factor_tuples for x in tup]
-        ranks.append(_rank_of_stream(_long_side_at(m, flat, prime), limit, prime))
-        points.append(tuple(factor_tuples))
+    points = _sample_points(m.ring.factors, prime, trials, seed)
+    ranks = [
+        _rank_of_stream(_long_side_at(m, [x for tup in point for x in tup], prime), limit, prime)
+        for point in points
+    ]
     return RankEvidence(
         max_rank_seen=max(ranks),
         trials=trials,
         prime=prime,
         seed=seed,
         ranks=tuple(ranks),
-        points=tuple(points),
+        points=points,
     )
 
 
@@ -516,7 +567,7 @@ COMMON_ZERO_STEPS = 1_000_000
 whether a monomial family has a common zero is NP-complete (on (P^1)^n the
 monomial x_{a,i} x_{b,j} x_{c,h} rules out one clause of a 3-SAT formula),
 so the search is bounded.  The largest built family within the build
-budget, the 4096 Segre monomials of (P^1)^12, takes 61439 checks."""
+budget, the 4096 Segre monomials of (P^1)^12, takes 4097 checks."""
 
 
 class CommonZeroUndecided(Exception):
@@ -534,20 +585,32 @@ def common_zero(ring: CoordinateRing, monomials: Sequence[Monomial]) -> tuple[in
     dropped when it uses two coordinates of one factor.  The search chooses
     the live coordinate factor by factor, tries only the first coordinate of
     a factor no remaining monomial constrains, and stops on a branch as soon
-    as some monomial needs nothing of the factors still to choose.  Returns
-    the live coordinate's index in each factor.
+    as some monomial needs nothing of the factors still to choose, or as
+    soon as the monomials that pin a coordinate in every factor still to
+    choose pin every choice there is: then each completion makes one of
+    them nonzero.  Both stops cut only branches without a common zero, so
+    the first one found is the same as without them.  Returns the live
+    coordinate's index in each factor.
 
     The worst case is exponential in the number of factors, so the search
     raises CommonZeroUndecided after COMMON_ZERO_STEPS monomial checks.
     """
-    needs = []
+    count = len(ring.factors)
+    # grid[f]: the choices of a live coordinate in each of the factors f..
+    grid = [math.prod(n + 1 for n in ring.factors[f:]) for f in range(count)]
+    var_factor = ring.var_factor
+    needs = []  # (last factor pinned, the pinned variable or None in each factor)
     for mono in monomials:
-        need: dict[int, int] = {}
-        for var, e in enumerate(mono):
-            if e and need.setdefault(ring.var_factor[var], var) != var:
+        pins: list[int | None] = [None] * count
+        last = -1
+        for var in compress(range(len(mono)), mono):
+            last = var_factor[var]
+            if pins[last] is None:
+                pins[last] = var
+            elif pins[last] != var:
                 break
         else:
-            needs.append((max(need, default=-1), need))
+            needs.append((last, tuple(pins)))
     steps = 0
 
     def search(factor: int, live: tuple[int, ...], alive: list) -> tuple[int, ...] | None:
@@ -556,13 +619,18 @@ def common_zero(ring: CoordinateRing, monomials: Sequence[Monomial]) -> tuple[in
         if steps > COMMON_ZERO_STEPS:
             raise CommonZeroUndecided(f"no decision within {COMMON_ZERO_STEPS} search steps")
         if not alive:
-            return live + (0,) * (len(ring.factors) - factor)
+            return live + (0,) * (count - factor)
         if any(last < factor for last, _ in alive):
             return None
-        constrained = any(factor in need for _, need in alive)
+        if len(alive) >= grid[factor]:
+            # every choice for the remaining factors is what some alive monomial pins
+            tails = {pins[factor:] for _, pins in alive}
+            if sum(None not in tail for tail in tails) == grid[factor]:
+                return None
+        constrained = any(pins[factor] is not None for _, pins in alive)
         for j in range(ring.factors[factor] + 1 if constrained else 1):
             var = ring.offsets[factor] + j
-            rest = [n for n in alive if n[1].get(factor, var) == var]
+            rest = [n for n in alive if n[1][factor] in (None, var)]
             found = search(factor + 1, live + (j,), rest)
             if found is not None:
                 return found
@@ -590,15 +658,10 @@ class TriangularWitness:
     guards: tuple[str, ...]
 
 
-def _is_power(poly: SparsePoly, base: Monomial) -> bool:
-    """Whether `poly` is c * base^e for some integer c != 0 and e >= 1."""
-    if len(poly.terms) != 1:
-        return False
-    (mono,) = poly.terms
-    if mono == base:
-        return any(base)
+def _is_multiple(mono: Monomial, base: Monomial) -> bool:
+    """Whether mono == e * base for an integer e >= 2."""
     e = next((x // b for x, b in zip(mono, base) if b), 0)
-    return e >= 2 and mono == tuple(e * b for b in base)
+    return e >= 2 and mono == tuple([e * b for b in base])
 
 
 def triangular_witness(
@@ -613,30 +676,48 @@ def triangular_witness(
     `earlier` maps the names of the family symbols before `symbol` to their
     monomials; every guard must be one of them.  The check makes O(k^2)
     entry lookups: k distinct rows and columns in range, each diagonal entry
-    a pure power of the symbol, each entry below the diagonal zero or a pure
-    power of a listed guard, and `strict` exactly when no guard is listed.
+    a pure power c * symbol^e (c != 0, e >= 1), each entry below the
+    diagonal zero or a pure power of a listed guard, and `strict` exactly
+    when no guard is listed.  A constant base has no pure power.
     """
-    if k < 1 or k > min(m.nrows, m.ncols):
-        raise ValueError(f"target rank {k} out of range for {m.nrows}x{m.ncols}")
+    entries = m.entries
+    nrows, ncols = len(entries), len(m.col_labels)
+    if k < 1 or k > min(nrows, ncols):
+        raise ValueError(f"target rank {k} out of range for {nrows}x{ncols}")
     rows, cols = witness.rows, witness.cols
     guards = [earlier.get(name) for name in witness.guards]
+    base = symbol.monomial
     if (
         witness.symbol != symbol.name
         or witness.strict != (not guards)
         or None in guards
-        or not (
-            len(rows) == len(set(rows)) == k == len(cols) == len(set(cols))
-            and 0 <= min(rows) and max(rows) < m.nrows
-            and 0 <= min(cols) and max(cols) < m.ncols
-        )
+        or not any(base)
+        or not len(rows) == len(set(rows)) == k == len(cols) == len(set(cols))
     ):
         return None
-    base = symbol.monomial
-    for i, r in enumerate(rows):
-        row = m.entries[r]
-        if not _is_power(row[cols[i]], base):
+    guards = [guard for guard in guards if any(guard)]  # a constant guards nothing
+    for i, (r, d) in enumerate(zip(rows, cols)):
+        if not (0 <= r < nrows and 0 <= d < ncols):
+            return None
+        row = entries[r]
+        terms = row[d].terms
+        if len(terms) != 1:
+            return None
+        (mono,) = terms
+        if mono != base and not _is_multiple(mono, base):
             return None
         for c in cols[:i]:
-            if row[c].terms and not any(_is_power(row[c], g) for g in guards):
+            terms = row[c].terms
+            if not terms:
+                continue
+            if len(terms) != 1:
+                return None
+            (mono,) = terms
+            if mono in guards:
+                continue
+            for guard in guards:
+                if _is_multiple(mono, guard):
+                    break
+            else:
                 return None
     return witness

@@ -143,6 +143,27 @@ def slope(deg: int, rank: int) -> Fraction:
     return Fraction(deg, rank)
 
 
+def normalizing_twist(X: ProductSpace, L: Sequence[int], deg: int, rank: int) -> int:
+    """k_E = ceil(deg / (rank * d)) for a class of degree `deg` and rank `rank`.
+
+    d is the degree of (1,0,...,0).  Twisting by -k_E * (1,0,...,0) moves
+    the degree to deg - rank*k_E*d, which is checked to lie in the window
+    1 - d*rank <= deg <= 0.
+    """
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    e1 = (1,) + (0,) * (X.picard_rank - 1)
+    d = degree(X, L, e1)
+    if d <= 0:
+        raise ValueError(f"degree of {e1} under {L} is {d}, expected positive")
+    k_e = math.ceil(slope(deg, rank) / d)
+    # degree is linear in c1; the window check guards the ceiling convention
+    nd = deg - rank * k_e * d
+    if not (1 - d * rank <= nd <= 0):
+        raise AssertionError(f"normalized degree {nd} outside window, k_E={k_e}")
+    return k_e
+
+
 def normalize(
     X: ProductSpace, L: Sequence[int], c1: Sequence[int], rank: int
 ) -> tuple[int, MultiDegree]:
@@ -152,19 +173,6 @@ def normalize(
     d the degree of (1,0,...,0).  The twisted class has degree in the window
     1 - d*rank <= deg <= 0.
     """
-    L = check_polarization(X, L)
-    c1 = X.check_degree(c1)
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    k_e = normalizing_twist(X, L, degree(X, L, c1), rank)
     e1 = (1,) + (0,) * (X.picard_rank - 1)
-    d = degree(X, L, e1)
-    if d <= 0:
-        raise ValueError(f"degree of {e1} under {L} is {d}, expected positive")
-    deg_c1 = degree(X, L, c1)
-    k_e = math.ceil(slope(deg_c1, rank) / d)
-    normalized = vsub(c1, vscale(rank * k_e, e1))
-    # degree is linear in c1; the window check guards the ceiling convention
-    nd = deg_c1 - rank * k_e * d
-    if not (1 - d * rank <= nd <= 0):
-        raise AssertionError(f"normalized degree {nd} outside window, k_E={k_e}")
-    return k_e, normalized
+    return k_e, vsub(X.check_degree(c1), vscale(rank * k_e, e1))

@@ -447,6 +447,26 @@ def test_spec_file_with_non_object_terms_or_maps(tmp_path, capsys):
         assert f"'{key}' must be an object" in err
 
 
+DEEP = 100_000  # nesting past any recursion limit of the json decoder
+
+
+def test_spec_file_nested_too_deeply_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    rest = json.dumps({key: v for key, v in COUNTEREXAMPLE.items() if key != "terms"})
+    p.write_text(rest[:-1] + ', "terms": ' + "[" * DEEP + "]" * DEEP + "}")
+    code = run("build", "--family", "custom", "--spec-file", str(p), "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: JSON nested too deeply\n"
+
+
+def test_recheck_of_json_nested_too_deeply_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * DEEP + "]" * DEEP)
+    assert run("recheck", str(p)) == 2
+    assert capsys.readouterr().err == f"error: {p}: JSON nested too deeply\n"
+
+
 def test_spec_file_with_malformed_groups_or_letters(tmp_path, capsys):
     cases = (
         ("groups", 5, "'groups' must be a list of [name, [factor indices]] pairs"),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from monadcert import oracles
+from monadcert import oracles, polyring
 from monadcert.cohomology import LineBundleSum
 from monadcert.monad import (
     build_section3,
@@ -714,6 +714,49 @@ def test_mat_mul_matches_sum_of_products():
     assert mat_mul(spec.map_g, spec.map_f).is_zero()
 
 
+def test_mat_mul_matches_tuple_reference():
+    # negative coefficients, zero entries, exponent sums past 255 and past 2^64
+    oracles.check_mat_mul(seed=8088, draws=400)
+
+
+def test_mat_mul_exponent_sums_no_field_holds():
+    ring = CoordinateRing((1,))
+    cases = [
+        (128, 128),  # a sum of 256 carries out of a byte
+        (2 ** 63, 2 ** 63),  # a sum of 2^64 fits no field
+        (-1, 3),  # a negative exponent packs into no field
+    ]
+    for e1, e2 in cases:
+        a = MonadMatrix(ring, [[SparsePoly(ring, {(e1, 1): -2})]], [(0,)], [(0,)])
+        b = MonadMatrix(ring, [[SparsePoly(ring, {(e2, 0): 3, (0, e2): 1})]], [(0,)], [(0,)])
+        prod = mat_mul(a, b)
+        assert prod.entries[0][0].terms == {(e1 + e2, 1): -6, (e1, 1 + e2): -2}
+        assert prod.entries == oracles.mat_mul_by_tuples(a, b).entries
+
+
+def test_witness_check_matches_power_reference():
+    # guards, constant symbols and entries, repeated and out-of-range cells, wrong strict
+    oracles.check_triangular_witness(seed=1618, draws=2000)
+
+
+def test_common_zero_prune_matches_plain_search(monkeypatch):
+    oracles.check_common_zero_prune(seed=1414, draws=200)
+    # the whole Segre family of (P^1)^12, the largest within the build
+    # budget, is ruled out at the root: 1 + 4096 checks
+    spec = build_section3(ProductSpace((1,) * 12), 1)
+    (_, segre), = spec.witness_families
+    monos = [s.monomial for s in segre]
+    monkeypatch.setattr(polyring, "COMMON_ZERO_STEPS", 4097)
+    assert common_zero(spec.ring, monos) is None
+    monkeypatch.setattr(polyring, "COMMON_ZERO_STEPS", 4096)
+    with pytest.raises(CommonZeroUndecided):
+        common_zero(spec.ring, monos)
+
+
+def test_rank_evidence_points_shared_by_both_maps():
+    oracles.check_shared_points(seeds=(5, 17), trials=4)
+
+
 def test_built_witnesses_match_reference_scan():
     # the acceptance grid and the benchmark ladder of both families
     for spec in _grid_and_ladder_specs():
@@ -756,7 +799,7 @@ def _branching_family(n):
 
 
 def test_common_zero_search_is_bounded():
-    # 15 factors take 884703 of the 1000000 steps, 16 would take 1867741
+    # 15 factors take 589791 of the 1000000 steps, 16 would take 1245149
     assert COMMON_ZERO_STEPS == 1_000_000
     assert common_zero(*_branching_family(15)) is None
     ring, family = _branching_family(16)
