@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -56,6 +57,28 @@ class SpecError(ValueError):
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _CONTAINERS = (dict, list, tuple)
 _INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
+
+# the types with a rule of their own, tried in order before the generic
+# dataclass rule: LineBundleSum is a dataclass, so its rule must come first
+_OWN_RULES = (
+    (Fraction, lambda obj: f"{obj.numerator}/{obj.denominator}"),
+    (LineBundleSum, lambda obj: obj.summands),
+    (SparsePoly, lambda obj: [(coeff, mono) for mono, coeff in sorted(obj.terms.items())]),
+    (MonadMatrix, lambda obj: {
+        "row_labels": obj.row_labels,
+        "col_labels": obj.col_labels,
+        "entries": obj.entries,
+    }),
+)
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[str, ...] | None:
+    """The field names the generic dataclass rule writes for `cls`, or None if it does not apply."""
+    if not dataclasses.is_dataclass(cls) or any(issubclass(cls, t) for t, _ in _OWN_RULES):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @functools.cache
@@ -65,24 +88,14 @@ def _encoder(cls: type):
     A rule maps an object to a string or to a shallow JSON container: a
     str-keyed dict, or a list or tuple, whose items may still need a rule.
     A type no rule names is left as it is, for the JSON scalar rules.  The
-    order matters: LineBundleSum is a dataclass, so its own rule must come
-    before the generic dataclass one.  Held for the life of the process,
-    one entry per type met.
+    rules of `_OWN_RULES` come first, then the generic dataclass rule.
+    Held for the life of the process, one entry per type met.
     """
-    if issubclass(cls, Fraction):
-        return lambda obj: f"{obj.numerator}/{obj.denominator}"
-    if issubclass(cls, LineBundleSum):
-        return lambda obj: obj.summands
-    if issubclass(cls, SparsePoly):
-        return lambda obj: [(coeff, mono) for mono, coeff in sorted(obj.terms.items())]
-    if issubclass(cls, MonadMatrix):
-        return lambda obj: {
-            "row_labels": obj.row_labels,
-            "col_labels": obj.col_labels,
-            "entries": obj.entries,
-        }
-    if dataclasses.is_dataclass(cls):
-        names = tuple(f.name for f in dataclasses.fields(cls))
+    for base, rule in _OWN_RULES:
+        if issubclass(cls, base):
+            return rule
+    names = _fields(cls)
+    if names is not None:
         return lambda obj: {name: getattr(obj, name) for name in names}
     if issubclass(cls, dict):
         return lambda obj: {str(k): v for k, v in obj.items()}
@@ -121,8 +134,8 @@ _quote = json.encoder.encode_basestring_ascii
 # tests a value's type: bool before its base class int
 _SCALAR_TEXT = {
     str: _quote,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
     int: int.__repr__,
     float: _float_text,
 }
@@ -140,8 +153,79 @@ def _scalar_text(value) -> str:
 _NEWLINES = tuple("\n" + "  " * depth for depth in range(16))
 
 
+def _newline(depth: int) -> str:
+    return _NEWLINES[depth] if depth < len(_NEWLINES) else "\n" + "  " * depth
+
+
+@functools.cache
+def _record_values(cls: type):
+    """A function from a `cls` record to its field values, or None unless `_fields` names them."""
+    names = _fields(cls)
+    if not names:
+        return None
+    if len(names) == 1:
+        return lambda obj: (getattr(obj, names[0]),)
+    return operator.attrgetter(*names)
+
+
+@functools.lru_cache(maxsize=256)
+def _template(cls: type, depth: int, shape: tuple[int, ...]) -> str:
+    """The %-template of a `cls` record at `depth`, one %s per scalar or list item.
+
+    `shape` has one entry per field: -1 for a scalar, else the length of
+    the list the field holds.  A report needs a few shapes per record
+    class, so the most recent 256 are kept.
+    """
+    inner, item = _newline(depth + 1), _newline(depth + 2)
+    fields = []
+    for name, size in zip(_fields(cls), shape):
+        if size < 0:
+            value = "%s"
+        elif size == 0:
+            value = "[]"
+        else:
+            value = "[" + item + ("," + item).join(["%s"] * size) + inner + "]"
+        fields.append(_quote(name).replace("%", "%%") + ": " + value)
+    return "{" + inner + ("," + inner).join(fields) + _newline(depth) + "}"
+
+
+def _record_text(obj, depth: int) -> str | None:
+    """The text of `obj` at `depth` from its template, if the generic dataclass rule writes it.
+
+    None when that rule does not apply or a field is neither a scalar of
+    an exact JSON type nor a list or tuple of exact ints or of exact strs;
+    such a record is written the general way.
+    """
+    values = _record_values(type(obj))
+    if values is None:
+        return None
+    shape, args = [], []
+    for value in values(obj):
+        cls = type(value)
+        scalar = _SCALAR_TEXT.get(cls)
+        if scalar is not None:
+            shape.append(-1)
+            args.append(scalar(value))
+        elif cls is not tuple and cls is not list:
+            return None
+        elif _INT_ONLY.issuperset(map(type, value)):
+            shape.append(len(value))
+            args += value
+        elif _STR_ONLY.issuperset(map(type, value)):
+            shape.append(len(value))
+            args += map(_quote, value)
+        else:
+            return None
+    return _template(type(obj), depth, tuple(shape)) % tuple(args)
+
+
 def _emit(obj, depth: int, out) -> None:
-    """Pass to `out` the text of `obj` at `depth` under json.dumps(indent=2)."""
+    """Pass to `out` the text of `obj` at `depth` under json.dumps(indent=2).
+
+    A list item that the generic dataclass rule writes is filled into its
+    class's template when its fields allow (`_record_text`), so a run of
+    records such as the witnesses of a report costs one %-format each.
+    """
     cls = type(obj)
     if cls is not list and cls is not tuple:
         if cls not in _PLAIN:
@@ -154,10 +238,7 @@ def _emit(obj, depth: int, out) -> None:
         out("{}" if cls is dict else "[]")
         return
     inner = depth + 1
-    if inner < len(_NEWLINES):
-        newline, close = _NEWLINES[inner], _NEWLINES[depth]
-    else:
-        newline, close = "\n" + "  " * inner, "\n" + "  " * depth
+    newline, close = _newline(inner), _newline(depth)
     comma = "," + newline
     text = _SCALAR_TEXT.get
     if cls is dict:
@@ -177,11 +258,13 @@ def _emit(obj, depth: int, out) -> None:
         lead = "[" + newline
         for value in obj:
             scalar = text(type(value))
-            if scalar is None:
+            if scalar is not None:
+                out(lead + scalar(value))
+            elif type(value) in _CONTAINERS or (record := _record_text(value, inner)) is None:
                 out(lead)
                 _emit(value, inner, out)
             else:
-                out(lead + scalar(value))
+                out(lead + record)
             lead = comma
         out(close + "]")
 
@@ -207,18 +290,24 @@ def _document(kind: str, instance: dict, result) -> dict:
     }
 
 
-def _out_dir(args) -> Path:
-    out = getattr(args, "out_dir", None) or os.environ.get("MONADCERT_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write(args, kind: str, inst: dict, spec: MonadSpec, result) -> Path:
-    """Write the `kind` document as {instance_id}.{suffix}.json, the suffix named in _KINDS."""
+    """Write the `kind` document as {instance_id}.{suffix}.json, the suffix named in _KINDS.
+
+    The directory is --out-dir, else $MONADCERT_OUT, else the current one,
+    made if missing; one that cannot be made or written to is a SpecError.
+    """
     suffix, _, _ = _KINDS[kind]
-    path = _out_dir(args) / f"{spec.instance_id}.{suffix}.json"
-    path.write_bytes(json_bytes(_document(kind, inst, result)))
+    out = Path(getattr(args, "out_dir", None) or os.environ.get("MONADCERT_OUT") or ".")
+    path = out / f"{spec.instance_id}.{suffix}.json"
+    data = json_bytes(_document(kind, inst, result))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"output directory {out}: {exc.strerror or exc}") from exc
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 

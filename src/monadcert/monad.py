@@ -20,7 +20,6 @@ symbol family, and randomized finite-field rank evidence.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -325,11 +324,11 @@ def build_section3(space: ProductSpace, k: int) -> MonadSpec:
         # mixed-radix order: the first factor most significant, the last
         # fastest; a Segre monomial is one unit exponent block per factor,
         # each laid at the factor's offset, which is the end of the one before
-        units = [[(0,) * j + (1,) + (0,) * (n - j) for j in range(n + 1)] for n in factors]
-        return tuple(
-            WitnessSymbol(name=name, monomial=tuple(itertools.chain.from_iterable(blocks)))
-            for name, blocks in zip(x_names + y_names, itertools.product(*units))
-        )
+        monomials = [()]
+        for n in factors:
+            units = [(0,) * j + (1,) + (0,) * (n - j) for j in range(n + 1)]
+            monomials = [mono + unit for mono in monomials for unit in units]
+        return tuple(map(WitnessSymbol, x_names + y_names, monomials))
 
     def maps() -> Maps:
         segre = [SparsePoly(ring, {s.monomial: 1}) for s in symbols()]

@@ -16,8 +16,8 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from itertools import chain, compress, zip_longest
-from operator import add, sub
+from itertools import chain, compress, repeat, zip_longest
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .space import MultiDegree
@@ -317,12 +317,13 @@ class MonadMatrix:
         Each is reported with the multidegree of its first such monomial, so
         an inhomogeneous entry is reported whatever the order of its terms.
         Labels are a few shared values, so each distinct row - col
-        difference is taken once.  The multidegrees of all distinct
+        difference is taken once; when there is only one and every distinct
+        monomial has it, no entry is read.  The multidegrees of all distinct
         monomials are taken at once: the exponent columns of each factor's
         variables are added elementwise.
         """
         ring = self.ring
-        monos = list({mono for row in self.entries for e in row for mono in e.terms})
+        monos = list(_monomials(self))
         columns = list(zip_longest(*monos, fillvalue=0))  # one exponent column per variable
         zero = [0] * len(monos)
         per_factor = [
@@ -332,6 +333,9 @@ class MonadMatrix:
         degree_of = dict(zip(monos, zip(*per_factor)))
         distinct: dict[MultiDegree, int] = {}
         col_class = [distinct.setdefault(cl, len(distinct)) for cl in self.col_labels]
+        expected_all = {tuple(map(sub, rl, cl)) for rl in set(self.row_labels) for cl in distinct}
+        if len(expected_all) == 1 and expected_all.issuperset(degree_of.values()):
+            return ()  # every cell expects the one degree every monomial has
         differences: dict[MultiDegree, list[MultiDegree]] = {}
         bad = []
         for r, (rl, row) in enumerate(zip(self.row_labels, self.entries)):
@@ -353,14 +357,22 @@ class MonadMatrix:
         return not self.degree_mismatches()
 
 
+def _monomials(m: MonadMatrix) -> set[Monomial]:
+    """The distinct monomials of the entries of `m`."""
+    return set().union(*[e.terms for row in m.entries for e in row])
+
+
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     """Exact symbolic product; inner dimensions and inner labels must agree.
 
     Each distinct exponent tuple is packed once into an int, one unsigned
     field per variable, wide enough for the largest exponent of m1 plus the
     largest of m2: no field carries into the next, so a product of
-    monomials is an integer addition.  When no field is that wide, or an
-    exponent is negative, the exponent tuples are added as they are.
+    monomials is an integer addition.  Each row of m2 is flattened once into
+    (column, packed monomial, coefficient) triples, one per term of its
+    nonzero entries, which every term of m1 in the matching column runs
+    over.  When no field is that wide, or an exponent is negative, the
+    exponent tuples are added as they are.
     """
     if m1.ring != m2.ring:
         raise ValueError("matrices over different rings")
@@ -368,12 +380,10 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
         raise ValueError(f"inner dimension mismatch: {m1.ncols} vs {m2.nrows}")
     if m1.col_labels != m2.row_labels:
         raise ValueError("inner labels mismatch")
-    ring = m1.ring
-    # each row of m2 as the (column, terms) of its nonzero entries
-    right = [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in m2.entries]
-    monos_1 = {mono for row in m1.entries for e in row for mono in e.terms}
-    monos_2 = {mono for row in right for _, terms in row for mono in terms}
-    top = max(map(max, monos_1), default=0) + max(map(max, monos_2), default=0)
+    ring, ncols = m1.ring, m2.ncols
+    monos_1 = _monomials(m1)
+    monos_2 = _monomials(m2)
+    top = sum(max(chain.from_iterable(monos), default=0) for monos in (monos_1, monos_2))
     field = next((t for t in "BHIQ" if top >> 8 * struct.calcsize("<" + t) == 0), None)
     if field is not None:
         layout = struct.Struct(f"<{ring.nvars}{field}")
@@ -381,85 +391,120 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
             packed = {m: int.from_bytes(layout.pack(*m), "little") for m in monos_1 | monos_2}
         except struct.error:  # a negative exponent, or a monomial not nvars long
             field = None
+    if field is None:
+        # each row of m2 as the (column, terms) of its nonzero entries
+        right = [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in m2.entries]
+        out = []
+        for row in m1.entries:
+            cells: list[dict] = [{} for _ in range(ncols)]
+            for entry, b_row in zip(row, right):
+                for c, b in b_row:
+                    _add_products(cells[c], entry.terms, b)
+            out.append([SparsePoly(ring, terms) for terms in cells])
+        return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
+    unpack, size = layout.unpack, layout.size
+    # each row of m2 as one (column, packed monomial, coefficient) triple per term
+    right = [
+        [(c, packed[mono], coeff) for c, e in enumerate(row) for mono, coeff in e.terms.items()]
+        for row in m2.entries
+    ]
     out = []
     for row in m1.entries:
-        cells: list[dict] = [{} for _ in range(m2.ncols)]
+        cells = [{} for _ in range(ncols)]
         for entry, b_row in zip(row, right):
-            a = entry.terms
-            if not a:
-                continue
-            if field is None:
-                for c, b in b_row:
-                    _add_products(cells[c], a, b)
-                continue
-            for mono_a, c1 in a.items():
+            for mono_a, c1 in entry.terms.items():
                 k1 = packed[mono_a]
-                for c, b in b_row:
+                for c, k2, c2 in b_row:
                     terms = cells[c]
-                    for mono_b, c2 in b.items():
-                        k = k1 + packed[mono_b]
-                        terms[k] = terms.get(k, 0) + c1 * c2
-        if field is not None:
-            cells = [
-                {layout.unpack(k.to_bytes(layout.size, "little")): c for k, c in terms.items() if c}
-                for terms in cells
-            ]
-        out.append([SparsePoly(ring, terms) for terms in cells])
+                    k = k1 + k2
+                    terms[k] = terms.get(k, 0) + c1 * c2
+        out.append([
+            SparsePoly(ring, {unpack(k.to_bytes(size, "little")): c for k, c in terms.items() if c})
+            for terms in cells
+        ])
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
 
 
 # ---------------------------------------------------------------------------
 # randomized rank evidence
 
-def _long_side_at(m: MonadMatrix, point: Sequence[int], p: int) -> Iterator[list[int]]:
-    """The matrix at `point` mod p, as a lazy stream of its long side.
+def _long_side(
+    m: MonadMatrix, coords: Sequence[Sequence[int]], p: int
+) -> Iterator[Iterator[Sequence[int]]]:
+    """The matrix at a list of points mod p, as a lazy stream of its long side.
 
-    Yields the rows when the matrix has more rows than columns, else the
-    columns.  A vector is evaluated only when the stream reaches it, its
-    zero entries are not evaluated, and each distinct monomial is evaluated
-    once per point.
+    `coords` holds, for each variable, its coordinate at every point.  For
+    each row when the matrix has more rows than columns, else for each
+    column, yields the line's vector at every point, in point order.  A
+    line is evaluated only when the stream reaches it, at all points at
+    once, and its zero entries are not evaluated.  The nonzero exponents of
+    each distinct monomial are listed once.
     """
-    memo: dict[Monomial, int] = {}
+    count = len(coords[0])
+    ones, zeros = [1] * count, [0] * count
+    powers: dict[Monomial, list[tuple[Sequence[int], int]]] = {}
     rows = m.entries
     lines = rows if m.nrows > m.ncols else ([row[c] for row in rows] for c in range(m.ncols))
     for line in lines:
-        vector = []
+        columns = []
         for entry in line:
-            total = 0
+            total = None
             for mono, coeff in entry.terms.items():
-                v = memo.get(mono)
-                if v is None:
-                    v = memo[mono] = _eval_monomial(mono, point, p)
-                total += coeff * v
-            vector.append(total % p)
-        yield vector
+                factors = powers.get(mono)
+                if factors is None:
+                    factors = powers[mono] = [(coords[i], e) for i, e in enumerate(mono) if e]
+                values = ones
+                for i, (xs, e) in enumerate(factors, 1):
+                    if e != 1:
+                        xs = map(pow, xs, repeat(e), repeat(p))
+                    values = map(mul, values, xs)
+                    if i % 8 == 0:  # keep the products a few words long
+                        values = [v % p for v in values]
+                if total is None:
+                    total = [coeff * v % p for v in values]
+                else:
+                    total = [(t + coeff * v) % p for t, v in zip(total, values)]
+            columns.append(zeros if total is None else total)
+        yield zip(*columns)
 
 
-def _rank_of_stream(vectors: Iterable[list[int]], limit: int, p: int) -> int:
-    """Rank mod p of a stream of vectors of residues in [0, p), read until `limit` are independent.
+def _rank_of_streams(
+    lines: Iterable[Iterable[Sequence[int]]], count: int, limit: int, p: int
+) -> list[int]:
+    """Rank mod p of each of `count` streams of vectors of residues in [0, p), read in lockstep.
 
-    An online echelon basis: each basis vector is 1 at its pivot, its first
-    nonzero place, and 0 at the pivots of the vectors found before it.  A
-    new vector is reduced by the basis in the order it was found, which
-    clears every pivot, and joins the basis if anything is left.  With
-    `limit` = min(rows, columns) a full-rank matrix stops the stream early;
-    a rank-deficient one is read to the end.
+    `lines` yields the next vector of every stream at once.  Each stream has
+    an online echelon basis: each basis vector is nonzero at its pivot, its
+    first nonzero place, and 0 at the pivots of the vectors found before
+    it.  A new vector v is reduced by each basis vector b in the order they
+    were found, v <- b[pivot] * v - v[pivot] * b, which clears every pivot
+    without a modular inverse and keeps the span, and joins the basis if
+    anything is left; a stream whose basis holds `limit` vectors takes no
+    more.  Lines are read until every basis is that full, so with `limit` =
+    min(rows, columns) a matrix of full rank at every point stops the
+    stream early; one that is rank deficient at some point is read to the
+    end.
     """
-    basis: list[tuple[int, list[int]]] = []
-    vectors = iter(vectors)
-    while len(basis) < limit:
-        v = next(vectors, None)
-        if v is None:
+    bases: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(count)]
+    lines = iter(lines)
+    short = count if limit > 0 else 0  # the streams whose basis is not yet full
+    while short:
+        line = next(lines, None)
+        if line is None:
             break
-        for pivot, b in basis:
-            f = v[pivot]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            inv = pow(v[pivot], -1, p)
-            basis.append((pivot, [x * inv % p for x in v]))
-    return len(basis)
+        for basis, v in zip(bases, line):
+            if len(basis) == limit:
+                continue
+            for pivot, b in basis:
+                f = v[pivot]
+                if f:
+                    c = b[pivot]
+                    v = [(c * x - f * y) % p for x, y in zip(v, b)]
+            if any(v):
+                basis.append((next(i for i, x in enumerate(v) if x), v))
+                if len(basis) == limit:
+                    short -= 1
+    return [len(basis) for basis in bases]
 
 
 @dataclass(frozen=True)
@@ -503,7 +548,7 @@ def _sample_points(
         factor_tuples = []
         for n in factors:
             for _attempt in range(64):
-                tup = tuple(rng.randrange(prime) for _ in range(n + 1))
+                tup = tuple(map(rng.randrange, repeat(prime, n + 1)))
                 if any(tup):
                     break
             else:
@@ -523,18 +568,18 @@ def rank_at_random_points(
 
     Each factor's coordinate tuple is sampled with the all-zero tuple
     rejected, so every sample is a genuine point of the product space.
-    At each point the long side is ranked as a stream that stops once the
-    rank reaches the short side; the rank does not depend on the order the
-    vectors are taken in.  The points depend only on the factors, prime,
-    trials and seed, so both maps of a monad are ranked at the same ones.
+    The long side is read line by line, each line evaluated at all points
+    at once, and ranked at each point as a stream that stops once the rank
+    reaches the short side at every point; the rank does not depend on the
+    order the vectors are taken in.  The points depend only on the factors,
+    prime, trials and seed, so both maps of a monad are ranked at the same
+    ones.
     """
     check_rank_parameters(prime, trials)
-    limit = min(m.nrows, m.ncols)
     points = _sample_points(m.ring.factors, prime, trials, seed)
-    ranks = [
-        _rank_of_stream(_long_side_at(m, [x for tup in point for x in tup], prime), limit, prime)
-        for point in points
-    ]
+    # each variable's coordinate at every point, the variables in ring order
+    coords = [xs for factor in zip(*points) for xs in zip(*factor)]
+    ranks = _rank_of_streams(_long_side(m, coords, prime), trials, min(m.nrows, m.ncols), prime)
     return RankEvidence(
         max_rank_seen=max(ranks),
         trials=trials,
@@ -682,31 +727,36 @@ def triangular_witness(
     """
     entries = m.entries
     nrows, ncols = len(entries), len(m.col_labels)
-    if k < 1 or k > min(nrows, ncols):
+    if k < 1 or k > nrows or k > ncols:
         raise ValueError(f"target rank {k} out of range for {nrows}x{ncols}")
-    rows, cols = witness.rows, witness.cols
-    guards = [earlier.get(name) for name in witness.guards]
+    rows, cols, names = witness.rows, witness.cols, witness.guards
     base = symbol.monomial
     if (
         witness.symbol != symbol.name
-        or witness.strict != (not guards)
-        or None in guards
+        or witness.strict == bool(names)
+        or len(rows) != k
+        or len(cols) != k
+        or len(set(rows)) != k
         or not any(base)
-        or not len(rows) == len(set(rows)) == k == len(cols) == len(set(cols))
     ):
         return None
-    guards = [guard for guard in guards if any(guard)]  # a constant guards nothing
-    for i, (r, d) in enumerate(zip(rows, cols)):
-        if not (0 <= r < nrows and 0 <= d < ncols):
+    guards = list(map(earlier.get, names))
+    if None in guards:
+        return None
+    if not all(map(any, guards)):
+        guards = [guard for guard in guards if any(guard)]  # a constant guards nothing
+    below = ()  # the columns of the diagonal entries so far
+    for r, d in zip(rows, cols):
+        if not (0 <= r < nrows and 0 <= d < ncols) or d in below:
             return None
         row = entries[r]
         terms = row[d].terms
         if len(terms) != 1:
             return None
         (mono,) = terms
-        if mono != base and not _is_multiple(mono, base):
+        if mono is not base and mono != base and not _is_multiple(mono, base):
             return None
-        for c in cols[:i]:
+        for c in below:
             terms = row[c].terms
             if not terms:
                 continue
@@ -720,4 +770,5 @@ def triangular_witness(
                     break
             else:
                 return None
+        below += (d,)
     return witness

@@ -349,6 +349,38 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "section3-dims1x3-k1.build.json").exists()
 
 
+def test_unusable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
+    # a file, or a path below one, as --out-dir or $MONADCERT_OUT: exit 2, one line
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a directory where the document would go
+    taken = tmp_path / "taken"
+    (taken / "section3-dims1x1-k1.build.json").mkdir(parents=True)
+    instance = ("build", "--family", "section3", "--copies", "2", "--k", "1")
+    cases = [
+        (blocker, "output directory", "File exists"),
+        (blocker / "sub", "output directory", "Not a directory"),
+        (taken, "cannot write", "Is a directory"),
+    ]
+    for where, what, why in cases:
+        for via_env in (False, True):
+            if via_env:
+                monkeypatch.setenv("MONADCERT_OUT", str(where))
+                argv = instance
+            else:
+                monkeypatch.delenv("MONADCERT_OUT", raising=False)
+                argv = (*instance, "--out-dir", str(where))
+            capsys.readouterr()
+            assert run(*argv) == 2, (where, via_env)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err
+            assert err.startswith(f"error: {what} {where}") and err.count("\n") == 1, err
+            assert err.endswith(f": {why}\n"), err
+    assert blocker.read_text() == ""
+    assert [p.name for p in taken.iterdir()] == ["section3-dims1x1-k1.build.json"]
+
+
 def test_custom_spec_with_embedded_maps(tmp_path):
     # a tiny genuine monad supplied entirely through the spec file
     spec = {
@@ -646,6 +678,29 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "monadcert 0.1.0"
+
+
+START_UP_PROBE = """
+import sys
+import monadcert.cli as cli
+assert "monadcert.oracles" not in sys.modules, "oracles loaded on import"
+assert cli._template.cache_info().currsize == 0, "templates made on import"
+assert cli.main(["verify", "--family", "section3", "--copies", "2", "--k", "1",
+                 "--out-dir", sys.argv[1]]) == 0
+assert "monadcert.oracles" not in sys.modules, "oracles loaded by verify"
+assert cli._template.cache_info().currsize > 0, "no template used for the witnesses"
+"""
+
+
+def test_start_up_loads_no_oracles_and_makes_no_templates(tmp_path):
+    # every benchmark child imports the CLI, so what the import loads is start-up time
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_recheck_document_wrong_typed_instance_values(tmp_path, capsys):

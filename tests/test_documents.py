@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadcert.certify import simplicity_certificate, stability_certificate
+from monadcert import cli
 from monadcert.cli import json_bytes, to_jsonable
 from monadcert.cohomology import LineBundleSum
 from monadcert.monad import build_section3, build_section4, display_summary, verify_monad
@@ -164,3 +165,119 @@ def test_to_jsonable_gives_a_json_tree():
         walk(to_jsonable(report))
     assert to_jsonable(Fraction(-3, 4)) == "-3/4"
     assert to_jsonable(LineBundleSum([((1, 0), 2)])) == [[[1, 0], 2]]
+
+
+# ---------------------------------------------------------------------------
+# records written from templates
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """A record shaped like a witness row: scalars and lists of ints or strs."""
+
+    symbol: object
+    rows: object
+    strict: object
+    guards: object = ()
+
+
+@dataclasses.dataclass
+class Verdict:
+    """A second record class, mutable, shaped like a stability per-q row."""
+
+    q: object
+    witness: object = None
+
+
+EXACT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((math.inf, -math.inf, math.nan, "%", "%s", "100%", "%(q)s %%")),
+    TEXT,
+)
+INTS = st.one_of(st.integers(), st.integers(-5, 5).map(Count), st.booleans())
+STRS = st.one_of(TEXT, TEXT.map(Name), st.sampled_from(("%s", "%d", "%%", "a%")))
+
+
+def sequences(items):
+    return st.one_of(st.lists(items, max_size=4), st.lists(items, max_size=4).map(tuple))
+
+
+# mostly what a template takes (exact scalars, lists of exact ints or of exact
+# strs), with subclasses, bools among ints, mixed lists and nested values
+# mixed in, which send a record down the general path
+FIELDS = st.one_of(
+    EXACT_SCALARS,
+    sequences(st.integers()),
+    sequences(TEXT),
+    st.just(()),
+    st.just([]),
+    SCALARS,
+    sequences(INTS),
+    sequences(STRS),
+    sequences(st.one_of(st.integers(), TEXT)),
+    st.builds(Verdict, st.integers(), st.none()),
+    SUMS,
+)
+RECORDS = st.one_of(
+    st.builds(Row, FIELDS, FIELDS, FIELDS, FIELDS),
+    st.builds(Row, FIELDS, FIELDS, FIELDS),
+    st.builds(Verdict, FIELDS, FIELDS),
+    st.builds(Verdict, FIELDS),
+    SUMS,
+)
+# one class, or classes mixed, with a scalar here and there
+RUNS = st.one_of(
+    st.lists(st.builds(Row, FIELDS, FIELDS, FIELDS, FIELDS), max_size=6),
+    st.lists(RECORDS, max_size=6),
+    st.lists(st.one_of(RECORDS, SCALARS), max_size=6),
+)
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUNS, st.integers(0, 20))
+def test_record_runs_match_json_module(run, depth):
+    # depths past the precomputed newlines included
+    assert_same_bytes({"kind": "records", "result": _nested(run, depth)})
+    assert_same_bytes({"kind": "records", "result": {"deep": _nested(tuple(run), depth)}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS, st.integers(0, 20))
+def test_record_template_writes_the_general_text(record, depth):
+    # a record a template takes comes out as the general path writes it
+    text = cli._record_text(record, depth)
+    chunks = []
+    cli._emit(record, depth, chunks.append)
+    if text is not None:
+        assert text == "".join(chunks)
+
+
+def test_record_templates_take_what_they_should():
+    exact = Row("x0", (0, 1, 2), False, ("x%d", "y"))
+    assert cli._record_text(exact, 3) is not None
+    assert cli._record_text(Verdict(1, None), 0) is not None
+    assert cli._record_text(Verdict(2, [-1, 0]), 0) is not None
+    assert cli._record_text(Row(None, (), True, []), 1) is not None
+    assert cli._record_text(Row(math.nan, math.inf, -math.inf), 1) is not None
+    # a subclass, a bool among ints, a mixed or nested list: the general path
+    for record in (
+        Row(Name("x0"), (0,), False),
+        Row("x0", (Count(0),), False),
+        Row("x0", (0, True), False),
+        Row("x0", (0, "a"), False),
+        Row("x0", ((0,),), False),
+        Row("x0", Verdict(1), False),
+        LineBundleSum([((1, 0), 2)]),
+    ):
+        assert cli._record_text(record, 1) is None, record
+    for record in (exact, Row("x0", (0, True), False), LineBundleSum([((1, 0), 2)])):
+        assert_same_bytes([record, exact, record])

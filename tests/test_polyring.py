@@ -28,8 +28,8 @@ from monadcert.polyring import (
     SparsePoly,
     TriangularWitness,
     WitnessSymbol,
-    _long_side_at,
-    _rank_of_stream,
+    _long_side,
+    _rank_of_streams,
     common_zero,
     is_probable_prime,
     mat_mul,
@@ -234,6 +234,10 @@ def test_degree_consistency():
     bad = MonadMatrix(r, [[u0, u0]], [(0, 0)], [(-1, 0), (0, -1)])
     assert not bad.degree_consistent
     assert bad.degree_mismatches() == ((0, 1, (1, 0), (0, 1)),)
+    # one label difference for every cell: a monomial of another degree is still found
+    one = MonadMatrix(r, [[u0, u0], [u0, v0]], [(1, 0)] * 2, [(0, 0)] * 2)
+    assert one.degree_mismatches() == ((1, 1, (0, 1), (1, 0)),)
+    assert MonadMatrix(r, [[u0, u0], [u0, u0]], [(1, 0)] * 2, [(0, 0)] * 2).degree_consistent
     # zero entries never count as mismatches
     z = MonadMatrix(r, [[r.zero(), r.zero()]], [(0, 0)], [(-1, 0), (5, 5)])
     assert z.degree_consistent
@@ -578,15 +582,19 @@ def test_matrix_eval_matches_entrywise_eval():
         # a small monomial pool so that entries share monomials
         entries = [[random_poly(rng, ring) for _ in range(ncols)] for _ in range(nrows)]
         m = MonadMatrix(ring, entries, [(0, 0)] * nrows, [(0, 0)] * ncols)
-        point = [rng.randrange(p) for _ in range(ring.nvars)]
-        got = list(_long_side_at(m, point, p))
+        points = [[rng.randrange(p) for _ in range(ring.nvars)] for _ in range(rng.randint(1, 3))]
+        coords = [list(xs) for xs in zip(*points)]
+        got = [[list(v) for v in line] for line in _long_side(m, coords, p)]
         # the long side: rows when the matrix is tall, else columns
         if nrows > ncols:
             lines = entries
         else:
             lines = [[row[c] for row in entries] for c in range(ncols)]
-        assert got == [[e.eval_mod(point, p) for e in line] for line in lines]
-        assert got == [[eval_direct(e, point, p) for e in line] for line in lines]
+        if min(nrows, ncols) == 0:
+            assert all(line == [] for line in got) and len(got) == len(lines)
+            continue
+        for evaluate in (lambda e, point: e.eval_mod(point, p), lambda e, point: eval_direct(e, point, p)):
+            assert got == [[[evaluate(e, x) for e in line] for x in points] for line in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +630,9 @@ def test_forward_elimination_matches_gauss_jordan():
             limit = min(nrows, ncols)
             for rows in cases:
                 want = oracles.rank_by_gauss_jordan(rows, p)
-                assert _rank_of_stream(rows, limit, p) == want, (p, rows)
                 transposed = [list(col) for col in zip(*rows)]
-                assert _rank_of_stream(transposed, limit, p) == want
+                assert _rank_of_streams(([v] for v in rows), 1, limit, p) == [want], (p, rows)
+                assert _rank_of_streams(([v] for v in transposed), 1, limit, p) == [want]
                 ranks.add((limit, want))
                 # the stream is read only until the rank reaches the limit
                 for vectors in rows, transposed:
@@ -634,9 +642,26 @@ def test_forward_elimination_matches_gauss_jordan():
                         len(vectors),
                     )
                     stream = iter(vectors)
-                    _rank_of_stream(stream, limit, p)
+                    _rank_of_streams(([v] for v in stream), 1, limit, p)
                     assert len(list(stream)) == len(vectors) - read
-    assert _rank_of_stream([], 0, DEFAULT_PRIME) == 0
+            # several streams in lockstep: each is ranked as it would be alone,
+            # and the lines are read until the slowest one is full
+            streams = [cases[0], cases[2], cases[3]]
+            lines = list(zip(*streams))
+            read = max(
+                next(
+                    (j for j in range(nrows + 1)
+                     if oracles.rank_by_gauss_jordan(vectors[:j], p) == limit),
+                    nrows,
+                )
+                for vectors in streams
+            )
+            source = iter(lines)
+            got = _rank_of_streams(source, len(streams), limit, p)
+            assert got == [oracles.rank_by_gauss_jordan(rows, p) for rows in streams]
+            assert len(list(source)) == nrows - read
+    assert _rank_of_streams([], 0, 0, DEFAULT_PRIME) == []
+    assert _rank_of_streams([], 2, 1, DEFAULT_PRIME) == [0, 0]
     # full, deficient and zero ranks all occur
     assert {(3, 3), (3, 2), (3, 1), (3, 0)} <= ranks
 
@@ -676,6 +701,102 @@ def test_rank_evidence_matches_entrywise_reference():
             assert rank_at_random_points(m, prime=1048583, trials=7, seed=11) == (
                 oracles.rank_evidence_by_entries(m, 1048583, 7, 11)
             )
+
+
+def _lines_read(m, prime, trials, seed):
+    # how many long-side lines the rank evidence reads at those points
+    points = polyring._sample_points(m.ring.factors, prime, trials, seed)
+    coords = [xs for factor in zip(*points) for xs in zip(*factor)]
+    lines = _long_side(m, coords, prime)
+    _rank_of_streams(lines, trials, min(m.nrows, m.ncols), prime)
+    return max(m.nrows, m.ncols) - sum(1 for _ in lines)
+
+
+def test_rank_evidence_on_powers_sums_zero_and_empty_maps():
+    # the section4 grid, whose entries include powers >= 2 of the coordinates
+    powers = 0
+    for params in SECTION4_MAPS[:24:3]:
+        spec = build_section4(*params)
+        for m in (spec.map_f, spec.map_g):
+            monos = [mono for row in m.entries for e in row for mono in e.terms]
+            powers += any(max(mono) >= 2 for mono in monos)
+            assert rank_at_random_points(m, trials=5, seed=3) == (
+                oracles.rank_evidence_by_entries(m, DEFAULT_PRIME, 5, 3)
+            )
+    assert powers
+    # entries of several terms, large and negative coefficients, and
+    # monomials in up to 12 variables with exponents up to 4
+    rng = random.Random(2024)
+    ring = CoordinateRing((1,) * 6)
+    label = (0,) * 6
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = [
+            [
+                SparsePoly(ring, {
+                    tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(ring.nvars)):
+                        rng.choice((-1, 1, 2, -(2 ** 40), DEFAULT_PRIME + 3))
+                    for _ in range(rng.randint(0, 4))
+                })
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        m = MonadMatrix(ring, entries, [label] * nrows, [label] * ncols)
+        trials, seed = rng.randint(1, 6), rng.randrange(100)
+        assert rank_at_random_points(m, trials=trials, seed=seed) == (
+            oracles.rank_evidence_by_entries(m, DEFAULT_PRIME, trials, seed)
+        )
+    # a zero map is read to the end; a map of full rank stops at its short side
+    for nrows, ncols in ((3, 5), (5, 3), (1, 4)):
+        zero = MonadMatrix(ring, [[ring.zero()] * ncols] * nrows, [label] * nrows, [label] * ncols)
+        assert rank_at_random_points(zero, trials=4).ranks == (0,) * 4
+        assert rank_at_random_points(zero, trials=4) == oracles.rank_evidence_by_entries(
+            zero, DEFAULT_PRIME, 4, 0
+        )
+        assert _lines_read(zero, DEFAULT_PRIME, 4, 0) == max(nrows, ncols)
+        x = [ring.variable(f, j) for f in range(6) for j in range(2)]
+        full = MonadMatrix(
+            ring,
+            [[x[r] if r == c else ring.zero() for c in range(ncols)] for r in range(nrows)],
+            [label] * nrows,
+            [label] * ncols,
+        )
+        assert _lines_read(full, DEFAULT_PRIME, 4, 0) == min(nrows, ncols)
+    # 0 x n and n x 0: rank 0 at every point, nothing read
+    for nrows, ncols in ((0, 3), (3, 0), (0, 0)):
+        empty = MonadMatrix(ring, [[]] * nrows if not ncols else [], [label] * nrows, [label] * ncols)
+        got = rank_at_random_points(empty, trials=3, seed=9)
+        assert got.ranks == (0, 0, 0) and got.max_rank_seen == 0
+        assert got == oracles.rank_evidence_by_entries(empty, DEFAULT_PRIME, 3, 9)
+        assert _lines_read(empty, DEFAULT_PRIME, 3, 9) == 0
+
+
+def test_mat_mul_multi_term_cancelling_and_unpacked():
+    r = _ring2()
+    u0, u1 = r.variable(0, 0), r.variable(0, 1)
+    v0, v1 = r.variable(1, 0), r.variable(1, 1)
+    # multi-term entries: (u0 + 2 u1)(u0 - u1) + v0 (3 v1)
+    a = MonadMatrix(r, [[u0 + u1 * 2, v0]], [(2, 0)], [(1, 0), (1, -1)])
+    b = MonadMatrix(r, [[u0 - u1], [v1 * 3]], [(1, 0), (1, -1)], [(0, 0)])
+    (got,), = mat_mul(a, b).entries
+    assert got == u0 * u0 + u0 * u1 - u1 * u1 * 2 + v0 * v1 * 3
+    assert got.terms == {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): -2, (0, 0, 1, 1): 3}
+    # a product that cancels: u0 * v0 - v0 * u0, and a cell whose terms cancel in part
+    a = MonadMatrix(r, [[u0, v0]], [(1, 1)], [(0, 1), (1, 0)])
+    b = MonadMatrix(r, [[v0, v0 + u1], [-u0, -u0]], [(0, 1), (1, 0)], [(0, 0), (0, 0)])
+    prod = mat_mul(a, b)
+    assert prod.entries[0][0].is_zero() and prod.entries[0][0].terms == {}
+    assert prod.entries[0][1] == u0 * u1
+    # a negative exponent packs into no field: the tuples are added as they are
+    inv = SparsePoly(r, {(-1, 0, 0, 0): 5, (0, 0, 1, 0): 1})
+    a = MonadMatrix(r, [[inv, u1]], [(0, 0)], [(0, 0), (0, 0)])
+    b = MonadMatrix(r, [[u0 + v1], [inv * -1]], [(0, 0), (0, 0)], [(0, 0)])
+    (got,), = mat_mul(a, b).entries
+    want = {(0, 0, 0, 0): 5, (-1, 0, 0, 1): 5, (1, 0, 1, 0): 1, (0, 0, 1, 1): 1,
+            (-1, 1, 0, 0): -5, (0, 1, 1, 0): -1}
+    assert got.terms == want
+    assert mat_mul(a, b).entries == oracles.mat_mul_by_tuples(a, b).entries
 
 
 def test_rank_evidence_matches_entrywise_reference_when_deficient():
