@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import operator
 import os
 import re
@@ -119,16 +118,6 @@ def to_jsonable(obj):
     return obj
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 _quote = json.encoder.encode_basestring_ascii
 # JSON text of a scalar as json.dumps writes it, in the order json.dumps
 # tests a value's type: bool before its base class int
@@ -137,7 +126,7 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
     int: int.__repr__,
-    float: _float_text,
+    float: json.dumps,  # NaN, Infinity, -Infinity or float.__repr__
 }
 
 
@@ -149,12 +138,10 @@ def _scalar_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# "\n" and the indent of each depth; deeper ones are made when met
-_NEWLINES = tuple("\n" + "  " * depth for depth in range(16))
-
-
+@functools.cache
 def _newline(depth: int) -> str:
-    return _NEWLINES[depth] if depth < len(_NEWLINES) else "\n" + "  " * depth
+    """A newline and the indent of `depth`."""
+    return "\n" + "  " * depth
 
 
 @functools.cache
@@ -170,11 +157,11 @@ def _record_values(cls: type):
 
 @functools.lru_cache(maxsize=256)
 def _template(cls: type, depth: int, shape: tuple[int, ...]) -> str:
-    """The %-template of a `cls` record at `depth`, one %s per scalar or list item.
+    """The %-template of a `cls` record at `depth`, one %s per field written whole or list item.
 
-    `shape` has one entry per field: -1 for a scalar, else the length of
-    the list the field holds.  A report needs a few shapes per record
-    class, so the most recent 256 are kept.
+    `shape` has one entry per field: -1 for a field written whole, else the
+    length of the flat list the field holds.  A report needs a few shapes
+    per record class, so the most recent 256 are kept.
     """
     inner, item = _newline(depth + 1), _newline(depth + 2)
     fields = []
@@ -189,95 +176,84 @@ def _template(cls: type, depth: int, shape: tuple[int, ...]) -> str:
     return "{" + inner + ("," + inner).join(fields) + _newline(depth) + "}"
 
 
-def _record_text(obj, depth: int) -> str | None:
-    """The text of `obj` at `depth` from its template, if the generic dataclass rule writes it.
+def _record_text(obj, depth: int) -> str:
+    """The text of `obj` at `depth`, a record the generic dataclass rule writes, from its template.
 
-    None when that rule does not apply or a field is neither a scalar of
-    an exact JSON type nor a list or tuple of exact ints or of exact strs;
-    such a record is written the general way.
+    A list or tuple of exact ints or of exact strs is laid out item by item;
+    any other field is written whole.
     """
-    values = _record_values(type(obj))
-    if values is None:
-        return None
     shape, args = [], []
-    for value in values(obj):
+    for value in _record_values(type(obj))(obj):
         cls = type(value)
         scalar = _SCALAR_TEXT.get(cls)
+        flat = cls is tuple or cls is list
         if scalar is not None:
             shape.append(-1)
             args.append(scalar(value))
-        elif cls is not tuple and cls is not list:
-            return None
-        elif _INT_ONLY.issuperset(map(type, value)):
+        elif flat and _INT_ONLY.issuperset(map(type, value)):
             shape.append(len(value))
             args += value
-        elif _STR_ONLY.issuperset(map(type, value)):
+        elif flat and _STR_ONLY.issuperset(map(type, value)):
             shape.append(len(value))
             args += map(_quote, value)
         else:
-            return None
+            shape.append(-1)
+            args.append(_text(value, depth + 1))
     return _template(type(obj), depth, tuple(shape)) % tuple(args)
 
 
-def _emit(obj, depth: int, out) -> None:
-    """Pass to `out` the text of `obj` at `depth` under json.dumps(indent=2).
+def _text(obj, depth: int) -> str:
+    """The text of `obj` at `depth` under json.dumps(indent=2).
 
-    A list item that the generic dataclass rule writes is filled into its
-    class's template when its fields allow (`_record_text`), so a run of
-    records such as the witnesses of a report costs one %-format each.
+    Every record the generic dataclass rule writes is filled into its
+    template (`_record_text`), so a run of records such as the witnesses of
+    a report costs one %-format each.  A container's text is one join.
     """
     cls = type(obj)
     if cls is not list and cls is not tuple:
         if cls not in _PLAIN:
+            if cls is not dict and _record_values(cls) is not None:
+                return _record_text(obj, depth)
             obj = _encoder(cls)(obj)
             cls = type(obj)
         if cls not in _CONTAINERS:
-            out(_scalar_text(obj))
-            return
+            return _scalar_text(obj)
     if not obj:
-        out("{}" if cls is dict else "[]")
-        return
+        return "{}" if cls is dict else "[]"
     inner = depth + 1
     newline, close = _newline(inner), _newline(depth)
-    comma = "," + newline
     text = _SCALAR_TEXT.get
     if cls is dict:
-        lead = "{" + newline
+        parts = ["{"]
         for key, value in obj.items():
             scalar = text(type(value))
-            if scalar is None:
-                out(f"{lead}{_quote(key)}: ")
-                _emit(value, inner, out)
-            else:
-                out(f"{lead}{_quote(key)}: {scalar(value)}")
-            lead = comma
-        out(close + "}")
-    elif _INT_ONLY.issuperset(map(type, obj)):
-        out(f"[{newline}{comma.join(map(int.__repr__, obj))}{close}]")
-    else:
-        lead = "[" + newline
-        for value in obj:
-            scalar = text(type(value))
-            if scalar is not None:
-                out(lead + scalar(value))
-            elif type(value) in _CONTAINERS or (record := _record_text(value, inner)) is None:
-                out(lead)
-                _emit(value, inner, out)
-            else:
-                out(lead + record)
-            lead = comma
-        out(close + "]")
+            value = _text(value, inner) if scalar is None else scalar(value)
+            parts += (newline, _quote(key), ": ", value, ",")
+        parts[-1] = close + "}"
+        return "".join(parts)
+    if _INT_ONLY.issuperset(map(type, obj)):
+        return f"[{newline}{(',' + newline).join(map(int.__repr__, obj))}{close}]"
+    parts = ["["]
+    for value in obj:
+        kind = type(value)
+        scalar = text(kind)
+        if scalar is not None:
+            value = scalar(value)
+        elif kind in _CONTAINERS or _record_values(kind) is None:
+            value = _text(value, inner)
+        else:
+            value = _record_text(value, inner)
+        parts += (newline, value, ",")
+    parts[-1] = close + "]"
+    return "".join(parts)
 
 
 def json_bytes(doc: dict) -> bytes:
     """The bytes of json.dumps(to_jsonable(doc), indent=2, ensure_ascii=True) plus a newline.
 
-    Written in one pass from the result objects, with no JSON tree between.
+    Written from the result objects by `_text`, with no JSON tree between.
     """
-    chunks: list[str] = []
-    _emit(doc, 0, chunks.append)
-    chunks.append("\n")
-    return "".join(chunks).encode("ascii")
+    return (_text(doc, 0) + "\n").encode("ascii")
 
 
 def _document(kind: str, instance: dict, result) -> dict:
@@ -290,14 +266,13 @@ def _document(kind: str, instance: dict, result) -> dict:
     }
 
 
-def _write(args, kind: str, inst: dict, spec: MonadSpec, result) -> Path:
-    """Write the `kind` document as {instance_id}.{suffix}.json, the suffix named in _KINDS.
+def _write(out: Path, kind: str, inst: dict, spec: MonadSpec, result) -> Path:
+    """Write the `kind` document to `out` as {instance_id}.{suffix}.json, suffix as in _KINDS.
 
-    The directory is --out-dir, else $MONADCERT_OUT, else the current one,
-    made if missing; one that cannot be made or written to is a SpecError.
+    `out` is made if missing; one that cannot be made or written to is a
+    SpecError.
     """
     suffix, _, _ = _KINDS[kind]
-    out = Path(getattr(args, "out_dir", None) or os.environ.get("MONADCERT_OUT") or ".")
     path = out / f"{spec.instance_id}.{suffix}.json"
     data = json_bytes(_document(kind, inst, result))
     try:
@@ -512,9 +487,28 @@ def _build_family(key: tuple) -> MonadSpec:
         raise SpecError(f"bad {family} parameters: {exc}") from exc
 
 
-def _spec_from_instance(inst: dict, build=_build_family) -> MonadSpec:
+def _spec_from_instance(inst: dict, build) -> MonadSpec:
     key = _family_key(inst)
     return _custom_from_block(inst) if key is None else build(key)
+
+
+def _read_json_object(path: Path) -> tuple[dict, bytes]:
+    """The JSON object a file holds, and the file's bytes; any failure is a SpecError.
+
+    Every message starts with the path, and a syntax error reads path:line:col.
+    """
+    try:
+        raw = path.read_bytes()
+        obj = json.loads(raw.decode("utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(obj, dict):
+        raise SpecError(f"{path}: top level must be an object")
+    return obj, raw
 
 
 def _instance_from_args(args) -> tuple[dict, MonadSpec]:
@@ -523,16 +517,7 @@ def _instance_from_args(args) -> tuple[dict, MonadSpec]:
         if not args.spec_file:
             raise SpecError("--spec-file is required for family custom")
         path = Path(args.spec_file)
-        try:
-            block = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise SpecError(f"{path}: JSON nested too deeply") from exc
-        if not isinstance(block, dict):
-            raise SpecError(f"{path}: top level must be an object")
+        block, _ = _read_json_object(path)
         block.setdefault("family", "custom")
         spec = _custom_from_block(block, where=str(path))
         return _custom_block_from_spec(spec, embed_maps=bool(block.get("maps"))), spec
@@ -542,7 +527,7 @@ def _instance_from_args(args) -> tuple[dict, MonadSpec]:
             raise SpecError("--copies is required for family section3")
         flags = dict(flags, dims=list(copies_to_factors(_parse_int_list(args.copies))))
     inst = {"family": args.family, **{key: flags[key] for key in _FAMILY_KEYS[args.family]}}
-    return inst, _spec_from_instance(inst)
+    return inst, _spec_from_instance(inst, _build_family)
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +589,28 @@ def _run(args, kind: str, **values):
     """Build the flags' instance once, compute its `kind` result and write the document.
 
     Each instance key of the kind takes its value from `values`, else from
-    the flag of its name, and is checked before the build; a value of None
-    is the built instance's `default_<key>`.  Returns the instance block,
-    the spec, the result and the path written.
+    the flag of its name, and is checked before the build, as is the output
+    directory (--out-dir, else $MONADCERT_OUT, else the current one); a
+    value of None is the built instance's `default_<key>`.  Returns the
+    instance block, the spec, the result and the path written.
     """
     _, keys, result_of = _KINDS[kind]
     values = {**{key: getattr(args, key) for key in keys}, **values}
     _check_values({key: value for key, value in values.items() if value is not None})
+    out = Path(getattr(args, "out_dir", None) or os.environ.get("MONADCERT_OUT") or ".")
+    path = out  # up to the nearest directory, which must not be a file
+    while not os.path.isdir(path) and path != path.parent:
+        if os.path.exists(path):
+            why = "File exists" if path == out else "Not a directory"
+            raise SpecError(f"output directory {out}: {why}")
+        path = path.parent
     inst, spec = _instance_from_args(args)
     inst.update(
         (key, getattr(spec, f"default_{key}") if value is None else value)
         for key, value in values.items()
     )
     result = result_of(spec, *(inst[key] for key in keys))
-    return inst, spec, result, _write(args, kind, inst, spec, result)
+    return inst, spec, result, _write(out, kind, inst, spec, result)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +684,7 @@ def cmd_certify_simplicity(args) -> int:
         print("simplicity not derivable without a stable kernel")
         return 1
     cert = simplicity_certificate(spec, stab)
-    path = _write(args, "simplicity-certificate", inst, spec, cert)
+    path = _write(stab_path.parent, "simplicity-certificate", inst, spec, cert)
     print(f"twist: {cert.twist}")
     for step in cert.steps:
         print(
@@ -753,17 +746,7 @@ def cmd_recheck(args) -> int:
     build = functools.lru_cache(maxsize=1)(_build_family)
     for name in args.paths:
         path = Path(name)
-        try:
-            raw = path.read_bytes()
-            doc = json.loads(raw.decode("utf-8"))
-        except OSError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SpecError(f"{path}: {exc}") from exc
-        except RecursionError as exc:
-            raise SpecError(f"{path}: JSON nested too deeply") from exc
-        if not isinstance(doc, dict):
-            raise SpecError(f"{path}: top level must be an object")
+        doc, raw = _read_json_object(path)
         regenerated = _regenerate(doc, build)
         fresh = json_bytes(regenerated)
         if fresh == raw:

@@ -307,13 +307,7 @@ def mat_mul_by_tuples(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
 
 def _is_power(poly: SparsePoly, base: Monomial) -> bool:
     """Whether `poly` is c * base^e for some integer c != 0 and e >= 1."""
-    if len(poly.terms) != 1:
-        return False
-    (mono,) = poly.terms
-    if mono == base:
-        return any(base)
-    e = next((x // b for x, b in zip(mono, base) if b), 0)
-    return e >= 2 and mono == tuple(e * b for b in base)
+    return pure_power_exponent(poly, base) is not None
 
 
 def witness_check_by_powers(
@@ -692,12 +686,13 @@ def check_mat_mul(seed: int, draws: int) -> None:
     Coefficients are nonzero and may be negative, a fifth of the entries
     are zero and the inner dimension may be 0.  Exponents lie in 0..3, in a
     quarter of the draws in 100..300 (sums past 255 need a wider field),
-    and in a tenth from 2^63 on (sums fit no field) or in -2..2 (a negative
-    exponent packs into no field).  Half the draws repeat a column of the
-    left factor against a negated row of the right one, so terms cancel.
+    and in a tenth from 2^63 on (sums past a machine word) or in -2..2 (a
+    negative exponent offsets every field).  Half the draws repeat a
+    column of the left factor against a negated row of the right one, so
+    terms cancel.
     """
     rng = random.Random(seed)
-    wide = unpacked = cancelled = 0
+    wide = extreme = cancelled = 0
     for _ in range(draws):
         ring = CoordinateRing(tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3))))
         roll = rng.random()
@@ -705,7 +700,7 @@ def check_mat_mul(seed: int, draws: int) -> None:
             (2**63, 2**63 + 2) if roll < 0.95 else (-2, 2)
         )
         wide += 0.65 <= roll < 0.9
-        unpacked += roll >= 0.9
+        extreme += roll >= 0.9
 
         def poly():
             if rng.random() < 0.2:
@@ -729,7 +724,7 @@ def check_mat_mul(seed: int, draws: int) -> None:
         assert got.entries == want.entries, f"{a_rows} x {b_rows}: {got.entries} != {want.entries}"
         assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
         cancelled += inner >= 2 and any(e.is_zero() for row in got.entries for e in row)
-    assert wide and unpacked and cancelled, "a kind of product was not drawn"
+    assert wide and extreme and cancelled, "a kind of product was not drawn"
 
 
 def check_triangular_witness(seed: int, draws: int) -> None:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-import struct
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, zip_longest
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .space import MultiDegree
@@ -152,14 +151,6 @@ def _eval_monomial(mono: Monomial, point: Sequence[int], p: int) -> int:
     return v
 
 
-def _add_products(terms: dict[Monomial, int], f: Mapping[Monomial, int], g: Mapping[Monomial, int]) -> None:
-    """Add every term product of f and g into `terms`, in place."""
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(map(add, m1, m2))
-            terms[m] = terms.get(m, 0) + c1 * c2
-
-
 class SparsePoly:
     """Polynomial as a map monomial -> nonzero integer coefficient."""
 
@@ -199,12 +190,13 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product by an int, or by a polynomial as the packed product of two 1 x 1 matrices."""
         if isinstance(other, int):
             return SparsePoly(self.ring, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        terms: dict[Monomial, int] = {}
-        _add_products(terms, self.terms, other.terms)
-        return SparsePoly(self.ring, terms)
+        label = [(0,) * len(self.ring.factors)]
+        a, b = (MonadMatrix(self.ring, [[p]], label, label) for p in (self, other))
+        return mat_mul(a, b).entries[0][0]
 
     __rmul__ = __mul__
 
@@ -365,14 +357,15 @@ def _monomials(m: MonadMatrix) -> set[Monomial]:
 def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     """Exact symbolic product; inner dimensions and inner labels must agree.
 
-    Each distinct exponent tuple is packed once into an int, one unsigned
-    field per variable, wide enough for the largest exponent of m1 plus the
-    largest of m2: no field carries into the next, so a product of
-    monomials is an integer addition.  Each row of m2 is flattened once into
-    (column, packed monomial, coefficient) triples, one per term of its
-    nonzero entries, which every term of m1 in the matching column runs
-    over.  When no field is that wide, or an exponent is negative, the
-    exponent tuples are added as they are.
+    Each distinct monomial is packed once into an int: one field per
+    variable, (2 * (high - low)).bit_length() bits wide for the greatest
+    exponent high and the least low <= 0, holding the exponent minus low.
+    No field of a sum of two packed monomials carries into the next, so a
+    product of monomials is one addition, and since (e - low) << s ==
+    (e << s) + (-low << s), packing is one shifted sum plus a constant,
+    for negative and wide exponents alike.  Each row of m2 is flattened
+    once, and every term of m1 in the matching column runs over it.  A
+    monomial not nvars long is a ValueError.
     """
     if m1.ring != m2.ring:
         raise ValueError("matrices over different rings")
@@ -381,28 +374,15 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     if m1.col_labels != m2.row_labels:
         raise ValueError("inner labels mismatch")
     ring, ncols = m1.ring, m2.ncols
-    monos_1 = _monomials(m1)
-    monos_2 = _monomials(m2)
-    top = sum(max(chain.from_iterable(monos), default=0) for monos in (monos_1, monos_2))
-    field = next((t for t in "BHIQ" if top >> 8 * struct.calcsize("<" + t) == 0), None)
-    if field is not None:
-        layout = struct.Struct(f"<{ring.nvars}{field}")
-        try:
-            packed = {m: int.from_bytes(layout.pack(*m), "little") for m in monos_1 | monos_2}
-        except struct.error:  # a negative exponent, or a monomial not nvars long
-            field = None
-    if field is None:
-        # each row of m2 as the (column, terms) of its nonzero entries
-        right = [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in m2.entries]
-        out = []
-        for row in m1.entries:
-            cells: list[dict] = [{} for _ in range(ncols)]
-            for entry, b_row in zip(row, right):
-                for c, b in b_row:
-                    _add_products(cells[c], entry.terms, b)
-            out.append([SparsePoly(ring, terms) for terms in cells])
-        return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
-    unpack, size = layout.unpack, layout.size
+    monos = _monomials(m1) | _monomials(m2)
+    if not {ring.nvars}.issuperset(map(len, monos)):
+        raise ValueError(f"a monomial is not {ring.nvars} exponents long")
+    exponents = {0, *chain.from_iterable(monos)}
+    low, high = min(exponents), max(exponents)
+    width = (2 * (high - low)).bit_length()
+    shifts = [i * width for i in range(ring.nvars)]
+    offset, mask, low2 = sum(-low << s for s in shifts), (1 << width) - 1, 2 * low
+    packed = {m: sum(map(lshift, m, shifts)) + offset for m in monos}
     # each row of m2 as one (column, packed monomial, coefficient) triple per term
     right = [
         [(c, packed[mono], coeff) for c, e in enumerate(row) for mono, coeff in e.terms.items()]
@@ -419,7 +399,8 @@ def mat_mul(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
                     k = k1 + k2
                     terms[k] = terms.get(k, 0) + c1 * c2
         out.append([
-            SparsePoly(ring, {unpack(k.to_bytes(size, "little")): c for k, c in terms.items() if c})
+            SparsePoly(ring, {tuple([(k >> s & mask) + low2 for s in shifts]): c
+                              for k, c in terms.items() if c})
             for terms in cells
         ])
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)

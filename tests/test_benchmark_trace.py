@@ -11,6 +11,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import re
 from pathlib import Path
 
 from monadcert.cli import main
@@ -33,16 +34,21 @@ def test_traced_functions_exist():
         assert callable(fn), f"monadcert.{module}.{attr}"
 
 
-# calls each command makes to the traced builders and certifiers; a call that
-# goes around the names the tracer patches is missing from its counts
+# calls each command makes to the traced builders, certifiers and writer; a
+# call that goes around the names the tracer patches is missing from its counts
 CALLS = {
-    "build": {"monad.build": 1},
-    "verify": {"monad.build": 1, "monad.verify_monad": 1},
-    "certify-stability": {"monad.build": 1, "certify.stability_certificate": 1},
+    "build": {"monad.build": 1, "cli.json_bytes": 1},
+    "verify": {"monad.build": 1, "monad.verify_monad": 1, "cli.json_bytes": 1},
+    "certify-stability": {
+        "monad.build": 1,
+        "certify.stability_certificate": 1,
+        "cli.json_bytes": 1,
+    },
     "certify-simplicity": {
         "monad.build": 1,
         "certify.stability_certificate": 1,
         "certify.simplicity_certificate": 1,
+        "cli.json_bytes": 2,
     },
     # over the four documents the commands above write: one shared build
     "recheck": {
@@ -50,8 +56,10 @@ CALLS = {
         "monad.verify_monad": 1,
         "certify.stability_certificate": 2,
         "certify.simplicity_certificate": 1,
+        "cli.json_bytes": 4,
     },
 }
+WROTE = re.compile(r"wrote: ([^)\n]+)")
 # calls that read a map or a rank witness: only `verify` and the recheck of
 # its document make them, and the certificates make none
 READERS = ("polyring.mat_mul", "polyring.rank_at_random_points", "polyring.triangular_witness")
@@ -63,7 +71,7 @@ def test_traced_calls_reach_every_command(tmp_path):
         ("--family", "section3", "--copies", "1,1", "--k", "2"),
         ("--family", "section4"),
     )
-    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+    with tracer.installed():
         for i, instance in enumerate(instances):
             out = tmp_path / str(i)
             for command, calls in CALLS.items():
@@ -73,11 +81,16 @@ def test_traced_calls_reach_every_command(tmp_path):
                 else:
                     argv = [command, *instance, "--out-dir", str(out)]
                 tracer.reset()
-                with tracer.job(command):
+                with tracer.job(command), contextlib.redirect_stdout(io.StringIO()) as printed:
                     assert main(argv) == 0, argv
                 metrics, _ = tracer.aggregate()
                 got = {name: metrics[f"{name}.calls"] for name in CALLS["recheck"]}
                 assert got == dict.fromkeys(got, 0) | calls, (instance, command)
+                # every document byte goes through the traced writer
+                written = argv[1:] if command == "recheck" else WROTE.findall(printed.getvalue())
+                assert len(written) == calls["cli.json_bytes"], (instance, command)
+                total = sum(Path(path).stat().st_size for path in written)
+                assert metrics["cli.doc_bytes"] == total, (instance, command)
                 mat_mul, rank, witness = (metrics[f"{name}.calls"] for name in READERS)
                 if "monad.verify_monad" in calls:
                     assert (mat_mul, rank) == (1, 2) and witness > 0, (instance, command)

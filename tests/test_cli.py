@@ -381,6 +381,31 @@ def test_unusable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
     assert [p.name for p in taken.iterdir()] == ["section3-dims1x1-k1.build.json"]
 
 
+def test_unusable_out_dir_is_refused_before_the_build(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "_build_family", _no_build)
+    instance = ("--family", "section3", "--copies", "8", "--k", "3")
+    with pytest.raises(AssertionError):  # the patch reaches the build
+        run("verify", *instance, "--out-dir", str(tmp_path / "usable"))
+    for command in ("verify", "certify-simplicity"):
+        for where, why in ((blocker, "File exists"), (blocker / "sub" / "dir", "Not a directory")):
+            for via_env in (False, True):
+                if via_env:
+                    monkeypatch.setenv("MONADCERT_OUT", str(where))
+                    argv = (command, *instance)
+                else:
+                    monkeypatch.delenv("MONADCERT_OUT", raising=False)
+                    argv = (command, *instance, "--out-dir", str(where))
+                capsys.readouterr()
+                assert run(*argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: output directory {where}: {why}\n", argv
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_custom_spec_with_embedded_maps(tmp_path):
     # a tiny genuine monad supplied entirely through the spec file
     spec = {
@@ -477,6 +502,24 @@ def test_spec_file_with_non_object_terms_or_maps(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"'{key}' must be an object" in err
+
+
+def test_spec_file_and_document_read_errors_name_the_file(tmp_path, capsys):
+    # one reader: the same message from a spec file and from a recheck
+    cases = (
+        (b"\xff{}", ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{\n  "name": }', ":2:11: Expecting value"),
+    )
+    for i, (data, why) in enumerate(cases):
+        p = tmp_path / f"bad{i}.json"
+        p.write_bytes(data)
+        for argv in (
+            ("build", "--family", "custom", "--spec-file", str(p), "--out-dir", str(tmp_path)),
+            ("recheck", str(p)),
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            assert capsys.readouterr().err == f"error: {p}{why}\n", argv
 
 
 DEEP = 100_000  # nesting past any recursion limit of the json decoder

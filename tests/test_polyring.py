@@ -788,7 +788,7 @@ def test_mat_mul_multi_term_cancelling_and_unpacked():
     prod = mat_mul(a, b)
     assert prod.entries[0][0].is_zero() and prod.entries[0][0].terms == {}
     assert prod.entries[0][1] == u0 * u1
-    # a negative exponent packs into no field: the tuples are added as they are
+    # a negative exponent: every field is offset by the least exponent
     inv = SparsePoly(r, {(-1, 0, 0, 0): 5, (0, 0, 1, 0): 1})
     a = MonadMatrix(r, [[inv, u1]], [(0, 0)], [(0, 0), (0, 0)])
     b = MonadMatrix(r, [[u0 + v1], [inv * -1]], [(0, 0), (0, 0)], [(0, 0)])
@@ -844,8 +844,8 @@ def test_mat_mul_exponent_sums_no_field_holds():
     ring = CoordinateRing((1,))
     cases = [
         (128, 128),  # a sum of 256 carries out of a byte
-        (2 ** 63, 2 ** 63),  # a sum of 2^64 fits no field
-        (-1, 3),  # a negative exponent packs into no field
+        (2 ** 63, 2 ** 63),  # a sum of 2^64 is past any machine word
+        (-1, 3),  # a negative exponent
     ]
     for e1, e2 in cases:
         a = MonadMatrix(ring, [[SparsePoly(ring, {(e1, 1): -2})]], [(0,)], [(0,)])
@@ -853,6 +853,48 @@ def test_mat_mul_exponent_sums_no_field_holds():
         prod = mat_mul(a, b)
         assert prod.entries[0][0].terms == {(e1 + e2, 1): -6, (e1, 1 + e2): -2}
         assert prod.entries == oracles.mat_mul_by_tuples(a, b).entries
+
+
+def test_mat_mul_mixes_negative_and_huge_exponents():
+    # one product whose operands hold negative exponents and exponents past 2^64
+    ring = CoordinateRing((1, 2))
+    huge = 2 ** 64 + 5
+    a = MonadMatrix(ring, [
+        [SparsePoly(ring, {(-3, huge, 0, 1, 0): 2, (0, 0, 0, 0, 1): -1}), ring.zero()],
+        [SparsePoly(ring, {(huge, -1, 2, 0, 0): 1}), SparsePoly(ring, {(1, 1, 1, 1, 1): 3})],
+    ], [(0, 0)] * 2, [(0, 0)] * 2)
+    b = MonadMatrix(ring, [
+        [SparsePoly(ring, {(3, -huge, 0, 0, 0): 1, (-huge, 0, 0, 0, 7): -4})],
+        [SparsePoly(ring, {(0, 0, -2, huge, huge): 5})],
+    ], [(0, 0)] * 2, [(0, 0)])
+    prod = mat_mul(a, b)
+    assert prod.entries == oracles.mat_mul_by_tuples(a, b).entries
+    assert prod.entries[0][0].terms == {
+        (0, 0, 0, 1, 0): 2, (-3 - huge, huge, 0, 1, 7): -8,
+        (3, -huge, 0, 0, 1): -1, (-huge, 0, 0, 0, 8): 4,
+    }
+    assert prod.entries[1][0].terms == {
+        (huge + 3, -1 - huge, 2, 0, 0): 1, (0, -1, 2, 0, 7): -4,
+        (1, 1, -1, huge + 1, huge + 1): 15,
+    }
+
+
+def test_short_monomial_is_refused():
+    # a monomial not nvars long is a ValueError, never cut to fit
+    ring = CoordinateRing((1, 1))
+    short = SparsePoly(ring, {(1, 0, 1): 1})
+    whole = SparsePoly(ring, {(0, 1, 0, 1): 2})
+    labels = [(0, 0)]
+    with pytest.raises(ValueError):
+        mat_mul(MonadMatrix(ring, [[short]], labels, labels),
+                MonadMatrix(ring, [[whole]], labels, labels))
+    with pytest.raises(ValueError):
+        mat_mul(MonadMatrix(ring, [[whole]], labels, labels),
+                MonadMatrix(ring, [[short]], labels, labels))
+    with pytest.raises(ValueError):
+        short * whole
+    with pytest.raises(ValueError):
+        whole * short
 
 
 def test_witness_check_matches_power_reference():
