@@ -153,7 +153,8 @@ class MonadSpec:
     expanded degree lists, which is checked when the maps are made.
     witness_families are the ordered symbol families for rank witnesses,
     and witnesses the ("f" or "g", witness) pairs that `verify_monad`
-    checks for the family symbols they name.
+    checks for the family symbols they name.  stability_certificates holds
+    the certificates computed for this spec, so they live no longer than it.
     """
 
     family: str
@@ -213,6 +214,15 @@ class MonadSpec:
     @property
     def witnesses(self) -> tuple[tuple[str, TriangularWitness], ...]:
         return self._witnesses[1]
+
+    @functools.cached_property
+    def stability_certificates(self) -> dict:
+        """The stability certificates of this spec by (polarization, constraint), as computed.
+
+        Filled by their one caller, `cli._stability_result`, so the
+        simplicity and stability documents of one spec share a certificate.
+        """
+        return {}
 
     @property
     def instance_id(self) -> str:

@@ -344,8 +344,13 @@ class MonadMatrix:
                         break
         return tuple(bad)
 
-    @property
+    @functools.cached_property
     def degree_consistent(self) -> bool:
+        """Whether `degree_mismatches` is empty, taken once per matrix.
+
+        A matrix is not changed after it is made, so the `build` and `report`
+        documents of one spec share the check.
+        """
         return not self.degree_mismatches()
 
 

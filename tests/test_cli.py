@@ -156,6 +156,14 @@ def test_cohom_multiplicities(capsys):
     assert capsys.readouterr().out.endswith("7\n")  # 2*h0(O(1)) + h0(O(2))
 
 
+def test_cohom_mult_that_is_not_an_int_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("cohom", "--space", "1,1", "--degree", "0,0", "--mult", "x", "--p", "0")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "monadcert cohom: error: argument --mult: invalid int value: 'x'"
+
+
 def test_negative_list_values_accepted(capsys):
     # "--degree -2,0" would normally be eaten as a flag; the folding step fixes it
     assert run("cohom", "--space", "1,1", "--degree", "-2,-2", "--p", "2") == 0
@@ -227,6 +235,75 @@ def test_recheck_names_the_first_differing_byte(tmp_path):
     ):
         path.write_bytes(text)
         assert _recheck_lines(path) == (1, [f"{path}: MISMATCH at byte {offset}"])
+
+
+def _recheck_output(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run("recheck", str(path))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_recheck_of_documents_the_head_does_not_settle(tmp_path):
+    # recheck regenerates a document from the part before its result; each of
+    # these is then read whole, and prints what a whole read alone prints
+    run("verify", "--family", "section3", "--copies", "2", "--k", "1", "--out-dir", str(tmp_path))
+    path = tmp_path / "section3-dims1x1-k1.report.json"
+    raw = path.read_bytes()
+    doc = json.loads(raw)
+    cut = raw.index(b'"result": ') + 40
+
+    def parse_error(text):
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            return f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}\n"
+        raise AssertionError("parsed")
+
+    last_line = len(raw.splitlines()) + 1
+    other_instance = json.loads(raw)
+    other_instance["instance"]["k"] = 2
+    cases = (
+        # bytes after the final newline
+        (raw + b"[]\n", (2, "", f"error: {path}:{last_line}:1: Extra data\n")),
+        # cut off inside the result
+        (raw[:cut], (2, "", parse_error(raw[:cut]))),
+        # a valid head naming another valid instance
+        (json.dumps(other_instance, indent=2).encode() + b"\n",
+         (1, f"{path}: MISMATCH at result.instance_id\n", "")),
+        # no line '  "result": ' at all
+        (json.dumps(doc, indent=4).encode() + b"\n", (1, f"{path}: MISMATCH at byte 4\n", "")),
+        # a list holding the document
+        (json.dumps([doc], indent=2).encode(), (2, "", f"error: {path}: top level must be an object\n")),
+    )
+    for text, expected in cases:
+        path.write_bytes(text)
+        assert _recheck_output(path) == expected, text[:80]
+    path.write_bytes(raw)
+    assert _recheck_output(path) == (0, f"{path}: OK\n", "")
+
+
+def test_recheck_of_a_name_holding_the_result_line(tmp_path, monkeypatch):
+    # a string's newline and quotes are escaped, so its text never reads as
+    # the result line, and its document is settled from the head alone; the
+    # instance id keeps only the name's letters and digits, and a coordinate
+    # letter carries the text into the document as given
+    text = 'x\n  "result": {}, "kind": "monad-report"'
+    spec = dict(COUNTEREXAMPLE, name=text, letters=[text, "y"])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("build", "--family", "custom", "--spec-file", str(spec_path),
+                   "--out-dir", str(out)) == 0
+    (written,) = out.iterdir()
+    path = written.rename(tmp_path / "named.json")
+    assert b'\\n  \\"result\\": {}' in path.read_bytes()
+    reads = []
+    original = cli._read_json_object
+    monkeypatch.setattr(cli, "_read_json_object", lambda p: reads.append(p) or original(p))
+    assert _recheck_output(path) == (0, f"{path}: OK\n", "")
+    assert reads == []
 
 
 def test_recheck_shares_a_build_only_within_one_instance(tmp_path, monkeypatch):
@@ -839,18 +916,33 @@ def test_documents_match_pinned_digests(tmp_path):
             assert got == want[job.key]["docs"], job.key
 
 
-def test_recheck_reads_every_benchmark_document_ok(tmp_path):
+def test_recheck_reads_every_benchmark_document_ok(tmp_path, monkeypatch):
     # one recheck over all the documents of each workload's seed-0 pass, as the
-    # benchmark runs it, prints OK for each
+    # benchmark runs it, prints OK for each, from each document's head alone:
+    # a writer that put the result before the instance would read them whole
+    reads = []
+    original = cli._read_json_object
+    monkeypatch.setattr(cli, "_read_json_object", lambda path: reads.append(path) or original(path))
     for name, make_jobs in _benchmark_workloads().items():
         out = tmp_path / name
         with contextlib.redirect_stdout(io.StringIO()):
             for job in make_jobs(0):
                 main(job.argv(str(out)))
         paths = sorted(out.iterdir())
+        reads.clear()
         code, lines = _recheck_lines(*paths)
         assert lines == [f"{path}: OK" for path in paths], name
         assert code == 0
+        assert reads == [], name
+    # a tampered document is read whole once, to name its difference
+    doc = json.loads(paths[0].read_text())
+    doc["instance"]["k"] += 1
+    paths[0].write_text(json.dumps(doc, indent=2) + "\n")
+    code, lines = _recheck_lines(*paths)
+    assert code == 1
+    assert lines[0].startswith(f"{paths[0]}: MISMATCH at ")
+    assert lines[1:] == [f"{path}: OK" for path in paths[1:]]
+    assert reads == [paths[0]]
 
 
 SECTION_DOCS = (
