@@ -467,11 +467,15 @@ def _entry(table: dict, name, what: str):
     raise SpecError(f"unknown {what} {name!r}")
 
 
-def _family_key(inst: dict) -> tuple | None:
-    """The family and its checked values, all a section3/section4 build reads; None for custom."""
+def _family_key(inst: dict) -> tuple:
+    """All that the build of an instance block reads: the family and its checked values.
+
+    A custom build reads the whole block, so its key holds the block as JSON
+    text, in which 1, 1.0 and true differ as the build's checks tell them apart.
+    """
     family = inst.get("family")
     if family == "custom":
-        return None
+        return (family, json.dumps(inst, sort_keys=True))
     values = _instance_values(inst, _entry(_FAMILY_KEYS, family, "family"))
     return (family, *(tuple(v) if isinstance(v, list) else v for v in values))
 
@@ -487,9 +491,18 @@ def _build_family(key: tuple) -> MonadSpec:
         raise SpecError(f"bad {family} parameters: {exc}") from exc
 
 
-def _spec_from_instance(inst: dict, build) -> MonadSpec:
+# the key and spec of the instance `recheck` built last: consecutive documents
+# of one instance share its build and the certificates kept on it, and
+# cmd_recheck empties it on return, so no spec outlives the command
+_recheck_built: list = []
+
+
+def _spec_from_instance(inst: dict) -> MonadSpec:
     key = _family_key(inst)
-    return _custom_from_block(inst) if key is None else build(key)
+    if not _recheck_built or _recheck_built[0] != key:
+        spec = _custom_from_block(inst) if key[0] == "custom" else _build_family(key)
+        _recheck_built[:] = key, spec
+    return _recheck_built[1]
 
 
 def _read_json_object(path: Path) -> tuple[dict, bytes]:
@@ -527,7 +540,7 @@ def _instance_from_args(args) -> tuple[dict, MonadSpec]:
             raise SpecError("--copies is required for family section3")
         flags = dict(flags, dims=list(copies_to_factors(_parse_int_list(args.copies))))
     inst = {"family": args.family, **{key: flags[key] for key in _FAMILY_KEYS[args.family]}}
-    return inst, _spec_from_instance(inst, _build_family)
+    return inst, _build_family(_family_key(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +596,14 @@ _KINDS = {
 }
 
 
-def _regenerate(doc: dict, build) -> dict:
+def _regenerate(doc: dict) -> dict:
     kind = doc.get("kind")
     _, keys, result_of = _entry(_KINDS, kind, "document kind")
     inst = doc.get("instance")
     if not isinstance(inst, dict):
         raise SpecError("document has no instance block")
     values = _instance_values(inst, keys)
-    spec = _spec_from_instance(inst, build)
+    spec = _spec_from_instance(inst)
     return _document(kind, inst, result_of(spec, *values))
 
 
@@ -754,7 +767,7 @@ def _first_difference(expected, stored, path: str = "") -> str | None:
 _RESULT_LINE = b',\n  "result": '
 
 
-def _matches_head(path: Path, build) -> bool:
+def _matches_head(path: Path) -> bool:
     """Whether the file equals the document regenerated from the part before its result.
 
     A canonical document's head, closed after its instance, is a few hundred
@@ -768,7 +781,7 @@ def _matches_head(path: Path, build) -> bool:
         if cut < 0:
             return False
         head = json.loads(raw[:cut] + b"\n}")
-        return isinstance(head, dict) and json_bytes(_regenerate(head, build)) == raw
+        return isinstance(head, dict) and json_bytes(_regenerate(head)) == raw
     except Exception:  # the whole read reports it, as if this path were not there
         return False
 
@@ -782,29 +795,30 @@ def cmd_recheck(args) -> int:
     departs, or to report why it cannot be read.
     """
     ok = True
-    # consecutive documents of one section3/section4 instance share its build
-    build = functools.lru_cache(maxsize=1)(_build_family)
-    for name in args.paths:
-        path = Path(name)
-        if _matches_head(path, build):
-            print(f"{path}: OK")
-            continue
-        doc, raw = _read_json_object(path)
-        regenerated = _regenerate(doc, build)
-        fresh = json_bytes(regenerated)
-        if fresh == raw:
-            print(f"{path}: OK")
-            continue
-        ok = False
-        where = _first_difference(to_jsonable(regenerated), doc)
-        if where is None:
-            offset = next(
-                (i for i, (a, b) in enumerate(zip(fresh, raw)) if a != b),
-                min(len(fresh), len(raw)),
-            )
-            print(f"{path}: MISMATCH at byte {offset}")
-        else:
-            print(f"{path}: MISMATCH at {where.lstrip('.')}")
+    try:
+        for name in args.paths:
+            path = Path(name)
+            if _matches_head(path):
+                print(f"{path}: OK")
+                continue
+            doc, raw = _read_json_object(path)
+            regenerated = _regenerate(doc)
+            fresh = json_bytes(regenerated)
+            if fresh == raw:
+                print(f"{path}: OK")
+                continue
+            ok = False
+            where = _first_difference(to_jsonable(regenerated), doc)
+            if where is None:
+                offset = next(
+                    (i for i, (a, b) in enumerate(zip(fresh, raw)) if a != b),
+                    min(len(fresh), len(raw)),
+                )
+                print(f"{path}: MISMATCH at byte {offset}")
+            else:
+                print(f"{path}: MISMATCH at {where.lstrip('.')}")
+    finally:
+        _recheck_built.clear()
     return 0 if ok else 1
 
 

@@ -1,12 +1,13 @@
 """Reference implementations, and the suites that check the program against them.
 
-Each oracle computes by enumeration or by a different route from the code it
-checks, and shares no code with it: monomials are counted one by one, copy
-vectors and twists are listed exhaustively, intersection numbers expand the
-truncated polynomial ring, the first violated subset sum is found in the
-listed exterior power, ranks come from Gauss-Jordan on matrices
-evaluated entry by entry, common zeros are sought at every point over F_2
-and by the search without its covering prune, triangular witnesses are
+Each question has one reference, which computes by enumeration or by a
+different route from the code it checks and shares no code with it:
+monomials are counted one by one, copy vectors and twists are listed
+exhaustively, intersection numbers expand the truncated polynomial ring,
+the first violated subset sum is found in the listed exterior power, ranks
+come from Gauss-Jordan on matrices evaluated entry by entry, common zeros
+are sought at every point over F_2 and the first one in order among the
+points with one live coordinate per factor, triangular witnesses are
 searched for over the whole matrix and checked entry by entry as pure
 powers, products of matrices add exponent tuples, degree mismatches are
 found entry by entry, and a document's text is written by the json
@@ -31,9 +32,7 @@ from .cli import to_jsonable
 from .cohomology import LineBundleSum, exterior_power, h_line, h_pn, h_sum
 from .monad import MonadSpec, build_section3, build_section4, nu, verify_monad
 from .polyring import (
-    COMMON_ZERO_STEPS,
     DEFAULT_PRIME,
-    CommonZeroUndecided,
     CoordinateRing,
     Monomial,
     MonadMatrix,
@@ -46,7 +45,7 @@ from .polyring import (
     rank_at_random_points,
     triangular_witness,
 )
-from .space import MultiDegree, ProductSpace, dimension_blocks
+from .space import MultiDegree, ProductSpace, dimension_blocks, vneg
 
 
 def count_monomials(nvars: int, d: int) -> int:
@@ -127,18 +126,18 @@ def vanishing_by_enumeration(
         raise ValueError(f"q must lie in 1..{middle.rank - 1}, got {q}")
     l = x.picard_rank
     degs = middle.degrees()
-    sums = set()
-    for subset in itertools.combinations(range(len(degs)), q):
-        t_s = tuple(sum(degs[i][j] for i in subset) for j in range(l))
-        sums.add(t_s)
+    sums = sorted({
+        tuple(sum(degs[i][j] for i in subset) for j in range(l))
+        for subset in itertools.combinations(range(len(degs)), q)
+    })
+    if constraint is TwistMode.TOTAL_NEGATIVE:
+        bounded = [range(l)]
+    else:
+        bounded = [idx for _, idx in x.groups]
     for b in itertools.product(range(-box, box + 1), repeat=l):
-        if constraint is TwistMode.TOTAL_NEGATIVE:
-            if sum(b) >= 0:
-                continue
-        else:
-            if any(s >= 0 for _, s in x.group_sums(b)):
-                continue
-        for t_s in sorted(sums):
+        if any(sum(b[i] for i in idx) >= 0 for idx in bounded):
+            continue
+        for t_s in sums:
             if all(bb + tt >= 0 for bb, tt in zip(b, t_s)):
                 return False, b
     return True, None
@@ -243,45 +242,22 @@ def has_common_zero_by_points(ring: CoordinateRing, monomials: Sequence[Monomial
     return False
 
 
-def common_zero_by_search(
+def first_common_zero_by_points(
     ring: CoordinateRing, monomials: Sequence[Monomial]
 ) -> tuple[int, ...] | None:
-    """`polyring.common_zero` without its covering prune, within the same budget.
+    """The first common zero with one live coordinate per factor, or None.
 
-    Chooses one live coordinate per factor in turn, tries only the first
-    coordinate of a factor no remaining monomial constrains, and stops a
-    branch once some monomial needs nothing of the factors still to choose;
-    raises CommonZeroUndecided after COMMON_ZERO_STEPS monomial checks.
+    Tries the points in lexicographic order of their live coordinates' indices,
+    with each live coordinate 1 and the rest 0, where a monomial vanishes
+    exactly when it uses a coordinate that is 0.  The reference for which
+    zero polyring.common_zero returns.
     """
-    needs = []
-    for mono in monomials:
-        need: dict[int, int] = {}
-        for var, e in enumerate(mono):
-            if e and need.setdefault(ring.var_factor[var], var) != var:
-                break
-        else:
-            needs.append((max(need, default=-1), need))
-    steps = 0
-
-    def search(factor: int, live: tuple[int, ...], alive: list) -> tuple[int, ...] | None:
-        nonlocal steps
-        steps += 1 + len(alive)
-        if steps > COMMON_ZERO_STEPS:
-            raise CommonZeroUndecided(f"no decision within {COMMON_ZERO_STEPS} search steps")
-        if not alive:
-            return live + (0,) * (len(ring.factors) - factor)
-        if any(last < factor for last, _ in alive):
-            return None
-        constrained = any(factor in need for _, need in alive)
-        for j in range(ring.factors[factor] + 1 if constrained else 1):
-            var = ring.offsets[factor] + j
-            rest = [n for n in alive if n[1].get(factor, var) == var]
-            found = search(factor + 1, live + (j,), rest)
-            if found is not None:
-                return found
-        return None
-
-    return search(0, (), needs)
+    used = [{var for var, e in enumerate(mono) if e} for mono in monomials]
+    for live in itertools.product(*(range(n + 1) for n in ring.factors)):
+        ones = {off + j for off, j in zip(ring.offsets, live)}
+        if all(u - ones for u in used):
+            return live
+    return None
 
 
 def mat_mul_by_tuples(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
@@ -305,11 +281,6 @@ def mat_mul_by_tuples(m1: MonadMatrix, m2: MonadMatrix) -> MonadMatrix:
     return MonadMatrix(ring, out, m1.row_labels, m2.col_labels)
 
 
-def _is_power(poly: SparsePoly, base: Monomial) -> bool:
-    """Whether `poly` is c * base^e for some integer c != 0 and e >= 1."""
-    return pure_power_exponent(poly, base) is not None
-
-
 def witness_check_by_powers(
     m: MonadMatrix,
     witness: TriangularWitness,
@@ -317,7 +288,7 @@ def witness_check_by_powers(
     symbol: WitnessSymbol,
     earlier: dict[str, Monomial],
 ) -> TriangularWitness | None:
-    """`polyring.triangular_witness`, deciding each entry with `_is_power`.
+    """`polyring.triangular_witness`, deciding each entry with `pure_power_exponent`.
 
     Every diagonal entry must be a pure power of the symbol, every entry
     below it zero or a pure power of some listed guard, each guard one of
@@ -342,10 +313,10 @@ def witness_check_by_powers(
     base = symbol.monomial
     for i, r in enumerate(rows):
         row = m.entries[r]
-        if not _is_power(row[cols[i]], base):
+        if pure_power_exponent(row[cols[i]], base) is None:
             return None
         for c in cols[:i]:
-            if row[c].terms and not any(_is_power(row[c], g) for g in guards):
+            if row[c].terms and all(pure_power_exponent(row[c], g) is None for g in guards):
                 return None
     return witness
 
@@ -508,21 +479,44 @@ def check_exterior_rank(seed: int, draws: int, deg_max: int) -> None:
             assert exterior_power(g, q).rank == math.comb(g.rank, q), f"{summands} q={q}"
 
 
-def check_vanishing(seed: int, draws: int) -> None:
-    """The vanishing DP against box enumeration for every q and both modes,
-    and every failing witness the first violated subset sum and sound, on
-    spaces with one group per factor or grouped by dimension.
+def random_groups(rng: random.Random, l: int) -> tuple | None:
+    """None (one group per factor) or a random partition of l factors into named groups."""
+    if l == 1 or rng.random() < 0.4:
+        return None
+    order = list(range(l))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, l), rng.randint(0, l - 1)))
+    return tuple(
+        (f"g{i}", tuple(order[a:b]))
+        for i, (a, b) in enumerate(zip([0] + cuts, cuts + [l]))
+    )
 
-    Summand degrees stay in {-1, 0, 1} and q <= 5 so that the default box
-    holds every candidate twist and the enumeration is exhaustive.
+
+def check_vanishing(seed: int, draws: int, dim_max: int, mult_max: int) -> tuple[int, int]:
+    """The vanishing DP against box enumeration for every q and both modes;
+    returns the number of (q, mode) decisions checked and of spaces drawn
+    with a group of several factors.
+
+    A failing q must have the first violated subset sum t_S as its witness
+    profile and -t_S as a witness twist that lies in the family and gives a
+    global section; a passing q has no witness.  Spaces have one to three
+    factors of dimension up to dim_max, grouped one group per factor, by
+    dimension or at random, and middles one to four summands of multiplicity
+    up to mult_max.  Summand degrees stay in {-1, 0, 1} and q <= 5 so that
+    the default box holds every candidate twist and the enumeration is
+    exhaustive.
     """
     rng = random.Random(seed)
+    decisions = grouped = 0
     for _ in range(draws):
         l = rng.randint(1, 3)
-        factors = tuple(rng.randint(1, 3) for _ in range(l))
-        space = ProductSpace(factors, dimension_blocks(factors) if rng.random() < 0.5 else None)
+        factors = tuple(rng.randint(1, dim_max) for _ in range(l))
+        how = rng.randrange(3)
+        groups = dimension_blocks(factors) if how == 1 else random_groups(rng, l) if how else None
+        space = ProductSpace(factors, groups)
+        grouped += any(len(idx) > 1 for _, idx in space.groups)
         summands = [
-            (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, 2))
+            (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, mult_max))
             for _ in range(rng.randint(1, 4))
         ]
         middle = LineBundleSum(summands)
@@ -531,19 +525,24 @@ def check_vanishing(seed: int, draws: int) -> None:
             slow_pass, _ = vanishing_by_enumeration(space, middle, q, mode)
             where = f"{space.groups} {summands} q={q} {mode}"
             assert fast.passed == slow_pass, f"disagreement at {where}"
-            assert fast.witness_profile == first_violated(space, middle, q, mode), (
-                f"witness {fast.witness_profile} is not the first violated sum at {where}"
+            t_s = first_violated(space, middle, q, mode)
+            assert fast.witness_profile == t_s, (
+                f"witness {fast.witness_profile} is not the first violated sum {t_s} at {where}"
             )
+            decisions += 1
             if fast.passed:
+                assert fast.witness_twist is None, f"a passing q has a witness at {where}"
                 continue
-            # the witness twist lies in the family and gives a global section
             b = fast.witness_twist
             if mode is TwistMode.TOTAL_NEGATIVE:
                 in_family = sum(b) < 0
             else:
                 in_family = all(s < 0 for _, s in space.group_sums(b))
             lam = exterior_power(middle, q).twist(b)
-            assert in_family and h_sum(space, lam, 0) >= 1, f"unsound witness {b} at {where}"
+            assert b == vneg(t_s) and in_family and h_sum(space, lam, 0) >= 1, (
+                f"unsound witness {b} at {where}"
+            )
+    return decisions, grouped
 
 
 def check_nu(limit: int) -> None:
@@ -559,12 +558,12 @@ def check_nu(limit: int) -> None:
 
 
 def check_common_zero(seed: int, draws: int) -> None:
-    """common_zero against every point over F_2, on random small monomial families.
+    """common_zero against every point over F_2, and its zero against the first
+    one, on random small monomial families.
 
     A monomial uses no coordinate of a factor in a third of the draws, one
     in a half and two in a sixth, so families with and without a common
-    zero both occur (about 3 to 2 in 3000 draws).  A returned point must be
-    a common zero.
+    zero both occur (about 3 to 2 in 3000 draws).
     """
     rng = random.Random(seed)
     for _ in range(draws):
@@ -579,11 +578,8 @@ def check_common_zero(seed: int, draws: int) -> None:
         zero = common_zero(ring, family)
         want = has_common_zero_by_points(ring, family)
         assert (zero is not None) == want, f"disagreement on {ring.factors} {family}"
-        if zero is not None:
-            flat = [int(j == live) for n, live in zip(ring.factors, zero) for j in range(n + 1)]
-            assert all(
-                math.prod(x**e for x, e in zip(flat, mono)) == 0 for mono in family
-            ), f"{zero} is no common zero of {family}"
+        first = first_common_zero_by_points(ring, family)
+        assert zero == first, f"{ring.factors} {family}: {zero} is not the first zero {first}"
 
 
 def check_rank_evidence(seed: int, draws: int, trials: int) -> None:
@@ -812,13 +808,13 @@ def check_triangular_witness(seed: int, draws: int) -> None:
 
 
 def check_common_zero_prune(seed: int, draws: int) -> None:
-    """common_zero against common_zero_by_search on full-support families less one pin tuple.
+    """common_zero against first_common_zero_by_points on full-support families less one pin tuple.
 
     A family has a monomial for every choice of one coordinate in each
     factor, some raised to a power, less one choice: that choice is then
     its only common zero.  Half the families also get one to three
-    monomials that use fewer factors, which may rule the zero out.  Both
-    searches must find the same zero, or none, within the same budget.
+    monomials that use fewer factors, which may rule the zero out.  The
+    search must find that zero, or none, within its budget.
     """
     rng = random.Random(seed)
     zeros = 0
@@ -838,7 +834,7 @@ def check_common_zero_prune(seed: int, draws: int) -> None:
                     exps[off + rng.randint(0, n)] = 1
             family.append(tuple(exps))
         rng.shuffle(family)
-        got, want = common_zero(ring, family), common_zero_by_search(ring, family)
+        got, want = common_zero(ring, family), first_common_zero_by_points(ring, family)
         assert got == want, f"{ring.factors} {family}: {got} != {want}"
         zeros += got is not None
     assert zeros, "no family with a common zero drawn"
@@ -902,7 +898,10 @@ SUITES = (
         ),
     ),
     ("exterior-rank", partial(check_exterior_rank, seed=32452843, draws=60, deg_max=2)),
-    ("vanishing-dp-vs-enumeration", partial(check_vanishing, seed=49979687, draws=30)),
+    (
+        "vanishing-dp-vs-enumeration",
+        partial(check_vanishing, seed=49979687, draws=30, dim_max=3, mult_max=2),
+    ),
     ("nu-half-product", partial(check_nu, limit=512)),
     ("common-zero-vs-points", partial(check_common_zero, seed=86028121, draws=300)),
     ("monad-validity", check_monads),
@@ -910,6 +909,6 @@ SUITES = (
     ("degree-mismatches-vs-entries", partial(check_degree_mismatches, seed=15485867, draws=200)),
     ("mat-mul-vs-tuples", partial(check_mat_mul, seed=32452867, draws=100)),
     ("witness-check-vs-powers", partial(check_triangular_witness, seed=49979693, draws=400)),
-    ("common-zero-prune-vs-search", partial(check_common_zero_prune, seed=67867979, draws=60)),
+    ("common-zero-prune-vs-points", partial(check_common_zero_prune, seed=67867979, draws=60)),
     ("rank-points-shared", partial(check_shared_points, seeds=(0, 86028157), trials=3)),
 )

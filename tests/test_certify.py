@@ -1,10 +1,8 @@
 """Stability and simplicity certificates.
 
-The vanishing decision is cross-checked against
+The vanishing decision is cross-checked by oracles.check_vanishing against
 oracles.vanishing_by_enumeration, which tries every twist in a box against
-every explicit subset.  Summand degrees stay in {-1, 0, 1} and q <= 5 so
-the witness -t_S always lands inside the box and the oracle is exhaustive,
-not just a sample.
+every explicit subset, and its witnesses against oracles.first_violated.
 """
 
 import math
@@ -22,7 +20,12 @@ from monadcert.certify import (
 )
 from monadcert.cohomology import LineBundleSum, exterior_power, h_sum
 from monadcert.monad import build_section3, build_section4, custom_monad
-from monadcert.oracles import first_violated, vanishing_by_enumeration
+from monadcert.oracles import (
+    check_vanishing,
+    first_violated,
+    random_groups,
+    vanishing_by_enumeration,
+)
 from monadcert.space import ProductSpace, vneg
 
 
@@ -111,49 +114,10 @@ def test_vanishing_input_validation():
         vanishing_by_enumeration(x, big, 1, TwistMode.PER_GROUP_NEGATIVE)
 
 
-def random_groups(rng, l):
-    # None (one group per factor) or a random partition into named groups
-    if l == 1 or rng.random() < 0.4:
-        return None
-    order = list(range(l))
-    rng.shuffle(order)
-    cuts = sorted(rng.sample(range(1, l), rng.randint(0, l - 1)))
-    return tuple(
-        (f"g{i}", tuple(order[a:b]))
-        for i, (a, b) in enumerate(zip([0] + cuts, cuts + [l]))
-    )
-
-
 def test_vanishing_matches_enumeration():
-    rng = random.Random(424)
-    grouped = 0
-    for _ in range(120):
-        l = rng.randint(1, 3)
-        x = ProductSpace(tuple(rng.randint(1, 2) for _ in range(l)), random_groups(rng, l))
-        grouped += any(len(idx) > 1 for _, idx in x.groups)
-        n_kinds = rng.randint(1, 3)
-        middle = LineBundleSum(
-            [
-                (tuple(rng.choice((-1, 0, 1)) for _ in range(l)), rng.randint(1, 2))
-                for _ in range(n_kinds)
-            ]
-        )
-        if middle.rank < 2:
-            continue
-        for mode in TwistMode:
-            for q in range(1, min(middle.rank - 1, 5) + 1):
-                fast = vanishing_all_twists(x, middle, q, mode)
-                slow_ok, slow_witness = vanishing_by_enumeration(x, middle, q, mode)
-                assert fast.passed == slow_ok, (x.groups, middle.summands, q, mode)
-                if fast.passed:
-                    assert fast.witness_twist is None and fast.witness_profile is None
-                    continue
-                assert slow_witness is not None
-                assert fast.witness_profile == first_violated(x, middle, q, mode)
-                assert fast.witness_twist == tuple(-t for t in fast.witness_profile)
-                lam = exterior_power(middle, q).twist(fast.witness_twist)
-                assert h_sum(x, lam, 0) >= 1
-    assert grouped >= 20
+    # dimensions 1..2 under every grouping, at least 450 (q, mode) decisions
+    decisions, grouped = check_vanishing(seed=424, draws=85, dim_max=2, mult_max=2)
+    assert decisions >= 450 and grouped >= 20
 
 
 def test_stability_certificate_matches_per_q_decision():

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -343,6 +344,39 @@ def test_recheck_shares_a_build_only_within_one_instance(tmp_path, monkeypatch):
         assert lines == [line for p in order for line in alone[p][1]]
         assert code == max(alone[p][0] for p in order)
         assert len(builds) == count
+
+
+def test_recheck_builds_a_custom_instance_once(tmp_path, monkeypatch):
+    # the simplicity and stability documents of one custom run share a build and
+    # its stability certificate; a document with a tampered term is its own instance
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "O11", "factors": [1, 1], "terms": {
+        "a": [[[-1, -1], 1]], "m": [[[0, 0], 4]], "c": [[[1, 1], 1]]}}))
+    assert run("certify-simplicity", "--family", "custom", "--spec-file", str(spec),
+               "--out-dir", str(tmp_path)) == 1  # stable, simplicity inconclusive
+    simplicity, stability = (tmp_path / f"custom-o11.{kind}.json"
+                             for kind in ("simplicity", "stability"))
+    doc = json.loads(stability.read_text())
+    doc["instance"]["terms"]["m"] = [[[0, 0], 5]]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc, indent=2) + "\n")
+    calls = Counter()
+    for name in ("_custom_from_block", "stability_certificate"):
+        def counted(*args, _call=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert _recheck_lines(simplicity, stability) == (0, [f"{simplicity}: OK", f"{stability}: OK"])
+    assert calls == {"_custom_from_block": 1, "stability_certificate": 1}
+    assert _recheck_lines(tampered, stability) == (
+        1, [f"{tampered}: MISMATCH at result.rank_t", f"{stability}: OK"]
+    )
+    # a block equal in Python (true == 1) but not in JSON is built, and refused
+    doc = json.loads(stability.read_text())
+    doc["instance"]["factors"] = [1, True]
+    tampered.write_text(json.dumps(doc, indent=2) + "\n")
+    assert _recheck_lines(stability, tampered) == (2, [f"{stability}: OK"])
 
 
 # an instance of each built family, and its spec
@@ -790,11 +824,16 @@ def test_selftest_passes(capsys):
     assert "rank-evidence-vs-entries: pass" in out
 
 
+# a child process finds the package in the source tree, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 def test_console_script_version():
     proc = subprocess.run(
         [sys.executable, "-m", "monadcert.cli", "--version"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "monadcert 0.1.0"
@@ -818,6 +857,7 @@ def test_start_up_loads_no_oracles_and_makes_no_templates(tmp_path):
         [sys.executable, "-c", START_UP_PROBE, str(tmp_path)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 1

@@ -18,7 +18,7 @@ from monadcert.cohomology import (
     h_pn,
     h_sum,
 )
-from monadcert.oracles import check_bott
+from monadcert.oracles import check_bott, check_serre_kunneth
 from monadcert.space import ProductSpace
 
 
@@ -56,17 +56,7 @@ def test_h_line_frozen_values():
 
 def test_h_line_kunneth_product_law():
     # summing h^p over all p must factor through the product of the factors
-    rng = random.Random(11)
-    for _ in range(300):
-        l = rng.randint(1, 3)
-        factors = tuple(rng.randint(1, 4) for _ in range(l))
-        x = ProductSpace(factors)
-        d = tuple(rng.randint(-8, 8) for _ in range(l))
-        total = sum(h_line(x, d, p) for p in range(x.dim + 1))
-        expect = 1
-        for n, di in zip(factors, d):
-            expect *= sum(h_pn(n, di, i) for i in range(n + 1))
-        assert total == expect
+    check_serre_kunneth(seed=11, draws=300, n_max=4, d_max=8, factor_max=4, deg_max=8)
 
 
 def test_line_bundle_sum_canonical_form():
